@@ -67,5 +67,6 @@ pub use oracle::{AccessKind, ConflictOracle, NullOracle, SerializabilityOracle};
 pub use stats::MemStats;
 pub use store::MemStore;
 pub use system::{
-    AccessDone, AccessOutcome, CoherenceKind, CtxId, DataSource, MemConfig, MemorySystem,
+    core_of_ctx, AccessDone, AccessOutcome, CoherenceKind, CtxId, DataSource, MemConfig,
+    MemorySystem,
 };

@@ -4,6 +4,7 @@
 
 use std::collections::HashSet;
 
+use ltse_sim::rng::Mix64BuildHasher;
 use ltse_sim::Cycle;
 
 use crate::addr::{BlockAddr, WordAddr};
@@ -19,6 +20,27 @@ pub use crate::dir::{CoreId, MAX_CORES};
 
 /// A global thread-context id (`core * smt_per_core + slot`).
 pub type CtxId = u32;
+
+/// The core hosting context `ctx` when each core has `smt_per_core`
+/// contexts: a shift for the usual power-of-two SMT widths, a division
+/// otherwise. Shared by the memory system and the TM unit, whose per-access
+/// checks both map contexts to cores.
+///
+/// ```
+/// use ltse_mem::core_of_ctx;
+///
+/// assert_eq!(core_of_ctx(31, 2), 15);
+/// assert_eq!(core_of_ctx(7, 3), 2);
+/// ```
+#[inline]
+pub fn core_of_ctx(ctx: CtxId, smt_per_core: u8) -> CoreId {
+    let smt = u32::from(smt_per_core);
+    if smt.is_power_of_two() {
+        (ctx >> smt.trailing_zeros()) as CoreId
+    } else {
+        (ctx / smt) as CoreId
+    }
+}
 
 /// L1 MESI state (Invalid ⇒ absent from the array).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,7 +313,7 @@ impl MemConfig {
 
     /// The core hosting a global context id.
     pub fn core_of(&self, ctx: CtxId) -> CoreId {
-        (ctx / self.smt_per_core as u32) as CoreId
+        core_of_ctx(ctx, self.smt_per_core)
     }
 
     /// All context ids on `core`.
@@ -336,13 +358,20 @@ impl Default for MemConfig {
 pub struct MemorySystem {
     config: MemConfig,
     grid: Grid,
+    /// Mesh `(x, y)` of every node that hosts a core or a bank, so message
+    /// latencies need no division on the request path.
+    node_xy: Vec<(u32, u32)>,
+    /// The chip hosting each core (cores are partitioned contiguously).
+    core_chip: Vec<u8>,
+    /// The chip hosting each L2 bank.
+    bank_chip: Vec<u8>,
     l1s: Vec<SetAssocCache<L1State>>,
     l2_banks: Vec<SetAssocCache<L2Line>>,
     /// Blocks whose directory state was lost to an L2 eviction while
     /// transactional; accesses must broadcast until one succeeds.
-    lost: HashSet<BlockAddr>,
+    lost: HashSet<BlockAddr, Mix64BuildHasher>,
     /// Blocks that have ever been fetched (cold-miss classification).
-    touched: HashSet<BlockAddr>,
+    touched: HashSet<BlockAddr, Mix64BuildHasher>,
     store: MemStore,
     stats: MemStats,
     overflow_events: Vec<OverflowEvent>,
@@ -358,17 +387,30 @@ impl MemorySystem {
     pub fn new(config: MemConfig) -> Self {
         config.validate();
         let grid = Grid::new(config.grid_width, config.grid_height, config.latency.link);
+        let hosted = config.n_cores.max(config.n_banks) as usize;
+        let width = config.grid_width;
+        let cores_per_chip = config.n_cores / u16::from(config.n_chips);
+        let banks_per_chip = config.n_banks / u16::from(config.n_chips);
         MemorySystem {
             config,
             grid,
+            node_xy: (0..hosted)
+                .map(|n| ((n % width) as u32, (n / width) as u32))
+                .collect(),
+            core_chip: (0..config.n_cores)
+                .map(|c| (c / cores_per_chip) as u8)
+                .collect(),
+            bank_chip: (0..config.n_banks)
+                .map(|b| (b / banks_per_chip) as u8)
+                .collect(),
             l1s: (0..config.n_cores)
                 .map(|_| SetAssocCache::new(config.l1))
                 .collect(),
             l2_banks: (0..config.n_banks)
                 .map(|_| SetAssocCache::new(config.l2_bank))
                 .collect(),
-            lost: HashSet::new(),
-            touched: HashSet::new(),
+            lost: HashSet::default(),
+            touched: HashSet::default(),
             store: MemStore::new(),
             stats: MemStats::new(),
             overflow_events: Vec::new(),
@@ -444,37 +486,50 @@ impl MemorySystem {
         self.lost.contains(&block)
     }
 
+    /// The L2 bank a block interleaves to: a mask for power-of-two bank
+    /// counts (every shipped configuration), a remainder otherwise.
     #[inline]
     fn bank_of(&self, block: BlockAddr) -> u16 {
-        (block.0 % self.config.n_banks as u64) as u16
+        let n = u64::from(self.config.n_banks);
+        if n.is_power_of_two() {
+            (block.0 & (n - 1)) as u16
+        } else {
+            (block.0 % n) as u16
+        }
     }
 
-    /// Grid node hosting a core. Cores and banks are laid out round-robin
-    /// over the mesh.
+    /// Grid node hosting a core. Node *i* hosts core *i* and bank *i*: the
+    /// configuration is validated to have at least as many nodes as cores
+    /// and banks.
     #[inline]
     fn core_node(&self, core: CoreId) -> usize {
-        core as usize % self.grid.nodes()
+        core as usize
     }
 
     #[inline]
     fn bank_node(&self, bank: u16) -> usize {
-        bank as usize % self.grid.nodes()
+        bank as usize
     }
 
+    /// Latency of one message between two nodes: Manhattan hops on the mesh
+    /// times the link latency (what [`Grid::latency`] computes, from the
+    /// coordinate table).
+    #[inline]
     fn net(&self, a: usize, b: usize) -> Cycle {
-        self.grid.latency(a, b)
+        let ((ax, ay), (bx, by)) = (self.node_xy[a], self.node_xy[b]);
+        Cycle(u64::from(ax.abs_diff(bx) + ay.abs_diff(by)) * self.config.latency.link.as_u64())
     }
 
-    /// The chip hosting a core (cores are partitioned contiguously).
+    /// The chip hosting a core.
     #[inline]
     fn chip_of_core(&self, core: CoreId) -> u8 {
-        (core / (self.config.n_cores / self.config.n_chips as u16)) as u8
+        self.core_chip[core as usize]
     }
 
     /// The chip hosting an L2 bank.
     #[inline]
     fn chip_of_bank(&self, bank: u16) -> u8 {
-        (bank / (self.config.n_banks / self.config.n_chips as u16)) as u8
+        self.bank_chip[bank as usize]
     }
 
     /// Inter-chip crossing penalty between a core and a bank, with message
@@ -1825,5 +1880,115 @@ mod tests {
         assert_eq!(cfg.ctx(15, 1), 31);
         assert_eq!(cfg.core_of(31), 15);
         assert_eq!(cfg.ctxs_on_core(3).collect::<Vec<_>>(), vec![6, 7]);
+    }
+
+    /// Every shipped configuration, plus one with non-power-of-two core,
+    /// bank, SMT and chip counts on a non-square mesh that has more nodes
+    /// than cores or banks.
+    fn topology_configs() -> Vec<(String, MemConfig)> {
+        let mut configs = vec![
+            ("paper_cmp".to_string(), MemConfig::paper_cmp()),
+            ("paper_multi_cmp".to_string(), MemConfig::paper_multi_cmp()),
+            (
+                "paper_snooping_cmp".to_string(),
+                MemConfig::paper_snooping_cmp(),
+            ),
+            ("small_for_tests".to_string(), MemConfig::small_for_tests()),
+        ];
+        for n in [64, 128, 256] {
+            for smt in [1, 2] {
+                configs.push((
+                    format!("scaled_cmp({n}, {smt})"),
+                    MemConfig::scaled_cmp(n, smt),
+                ));
+            }
+        }
+        configs.push((
+            "odd".to_string(),
+            MemConfig {
+                n_cores: 12,
+                smt_per_core: 3,
+                n_banks: 6,
+                grid_width: 5,
+                grid_height: 3,
+                n_chips: 3,
+                ..MemConfig::small_for_tests()
+            },
+        ));
+        configs
+    }
+
+    #[test]
+    fn topology_tables_match_the_plain_formulas() {
+        for (name, cfg) in topology_configs() {
+            let m = MemorySystem::new(cfg);
+            let grid = Grid::new(cfg.grid_width, cfg.grid_height, cfg.latency.link);
+            let nodes = grid.nodes();
+            let link = cfg.latency.link.as_u64();
+            let hops = |a: usize, b: usize| Cycle(grid.hops(a % nodes, b % nodes) * link);
+            let cores_per_chip = cfg.n_cores / cfg.n_chips as u16;
+            let banks_per_chip = cfg.n_banks / cfg.n_chips as u16;
+            for c in 0..cfg.n_cores {
+                assert_eq!(
+                    m.chip_of_core(c),
+                    (c / cores_per_chip) as u8,
+                    "{name}: core {c}"
+                );
+                let cn = m.core_node(c);
+                for b in 0..cfg.n_banks {
+                    let bn = m.bank_node(b);
+                    let want = hops(c as usize, b as usize);
+                    assert_eq!(m.net(cn, bn), want, "{name}: core {c} -> bank {b}");
+                    assert_eq!(m.net(bn, cn), want, "{name}: bank {b} -> core {c}");
+                    assert_eq!(want, grid.latency(c as usize % nodes, b as usize % nodes));
+                }
+                for d in 0..cfg.n_cores {
+                    let want = hops(c as usize, d as usize);
+                    assert_eq!(
+                        m.net(cn, m.core_node(d)),
+                        want,
+                        "{name}: core {c} -> core {d}"
+                    );
+                }
+            }
+            for b in 0..cfg.n_banks {
+                assert_eq!(
+                    m.chip_of_bank(b),
+                    (b / banks_per_chip) as u8,
+                    "{name}: bank {b}"
+                );
+            }
+            let blocks = (0..4096u64).chain((0..4096).map(|i| ltse_sim::rng::mix64(i) >> (i % 64)));
+            for block in blocks {
+                let want = (block % cfg.n_banks as u64) as u16;
+                assert_eq!(
+                    m.bank_of(BlockAddr(block)),
+                    want,
+                    "{name}: block {block:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn core_of_matches_division_for_every_smt_width() {
+        for smt in [1u8, 2, 4, 3] {
+            for ctx in 0..(MAX_CORES as u32 * smt as u32) {
+                assert_eq!(
+                    core_of_ctx(ctx, smt),
+                    (ctx / smt as u32) as CoreId,
+                    "smt {smt} ctx {ctx}"
+                );
+            }
+            let cfg = MemConfig {
+                smt_per_core: smt,
+                ..MemConfig::scaled_cmp(256, 1)
+            };
+            for core in 0..cfg.n_cores {
+                for ctx in cfg.ctxs_on_core(core) {
+                    assert_eq!(cfg.core_of(ctx), core, "smt {smt} ctx {ctx}");
+                }
+            }
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! The idealized perfect signature (the paper's "P" configuration).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+
+use ltse_sim::rng::Mix64BuildHasher;
 
 use crate::traits::{SavedSignature, Signature};
 
@@ -11,7 +13,11 @@ use crate::traits::{SavedSignature, Signature};
 /// of their size", §6.3 Result 1). [`Signature::storage_bits`] reports 0 to
 /// reflect that no fixed hardware budget corresponds to it.
 ///
-/// A `BTreeSet` keeps iteration deterministic, which keeps whole-run
+/// The set is a [`mix64`](ltse_sim::rng::mix64)-hashed `HashSet`: exact
+/// shadow sets answer a membership query on every conflict check, so lookups
+/// must be cheap. Its bucket order depends on insertion history, so every
+/// view whose order is observable ([`PerfectSignature::iter`],
+/// [`Signature::save`], `Debug`) sorts first, which keeps whole-run
 /// determinism intact.
 ///
 /// ```
@@ -23,9 +29,18 @@ use crate::traits::{SavedSignature, Signature};
 /// assert!(!s.maybe_contains(11)); // never a false positive
 /// assert_eq!(s.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct PerfectSignature {
-    set: BTreeSet<u64>,
+    set: HashSet<u64, Mix64BuildHasher>,
+}
+
+/// Renders the set in ascending order, whatever the insertion order.
+impl std::fmt::Debug for PerfectSignature {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PerfectSignature")
+            .field("set", &self.set.iter().collect::<BTreeSet<_>>())
+            .finish()
+    }
 }
 
 impl PerfectSignature {
@@ -46,8 +61,19 @@ impl PerfectSignature {
     }
 
     /// Iterates the exact address set in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.set.iter().copied()
+    pub fn iter(&self) -> impl Iterator<Item = u64> {
+        self.sorted().into_iter()
+    }
+
+    /// Whether the two sets share an address.
+    pub fn intersects(&self, other: &PerfectSignature) -> bool {
+        !self.set.is_disjoint(&other.set)
+    }
+
+    fn sorted(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = self.set.iter().copied().collect();
+        v.sort_unstable();
+        v
     }
 }
 
@@ -78,7 +104,7 @@ impl Signature for PerfectSignature {
     }
 
     fn save(&self) -> SavedSignature {
-        SavedSignature::Exact(self.set.iter().copied().collect())
+        SavedSignature::Exact(self.sorted())
     }
 
     fn restore(&mut self, saved: &SavedSignature) {
@@ -178,5 +204,53 @@ mod tests {
         assert!(s.maybe_contains(100));
         assert!(s.maybe_contains(1024 + 36));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn ordered_views_ascend_whatever_the_insertion_order() {
+        // Enough addresses, some far apart, that the hash table's bucket
+        // order differs between insertion orders.
+        let addrs: Vec<u64> = (0..200u64)
+            .map(|i| (i * 0x9E37) % 5000 + if i % 7 == 0 { 1 << 45 } else { 0 })
+            .collect();
+        let mut expected = addrs.clone();
+        expected.sort_unstable();
+        expected.dedup();
+        let orders: [Vec<u64>; 3] = [
+            addrs.clone(),
+            addrs.iter().rev().copied().collect(),
+            (0..addrs.len())
+                .map(|i| addrs[(i * 53) % addrs.len()])
+                .collect(),
+        ];
+        let mut debugs = Vec::new();
+        for order in &orders {
+            let mut s = PerfectSignature::new();
+            for &a in order {
+                s.insert(a);
+            }
+            assert_eq!(s.iter().collect::<Vec<_>>(), expected);
+            assert_eq!(s.save(), SavedSignature::Exact(expected.clone()));
+            debugs.push(format!("{s:?}"));
+        }
+        assert!(debugs.windows(2).all(|w| w[0] == w[1]), "{debugs:?}");
+        let listed: Vec<String> = expected.iter().map(u64::to_string).collect();
+        assert_eq!(
+            debugs[0],
+            format!("PerfectSignature {{ set: {{{}}} }}", listed.join(", "))
+        );
+    }
+
+    #[test]
+    fn intersects_is_set_overlap() {
+        let mut a = PerfectSignature::new();
+        let mut b = PerfectSignature::new();
+        a.insert(1);
+        b.insert(2);
+        assert!(!a.intersects(&b));
+        b.insert(1 + (1 << 40));
+        assert!(!a.intersects(&b), "exact sets never alias");
+        b.insert(1);
+        assert!(a.intersects(&b) && b.intersects(&a));
     }
 }

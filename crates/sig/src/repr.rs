@@ -445,7 +445,7 @@ impl SigRepr {
     /// Panics if the shapes differ (different variants or sizes).
     pub fn intersects_repr(&self, other: &SigRepr) -> bool {
         match (self, other) {
-            (SigRepr::Perfect(a), SigRepr::Perfect(b)) => a.iter().any(|x| b.maybe_contains(x)),
+            (SigRepr::Perfect(a), SigRepr::Perfect(b)) => a.intersects(b),
             (SigRepr::BitSelect { bits: a, .. }, SigRepr::BitSelect { bits: b, .. })
             | (SigRepr::CoarseBitSelect { bits: a, .. }, SigRepr::CoarseBitSelect { bits: b, .. })
             | (SigRepr::DoubleBitSelect { bits: a, .. }, SigRepr::DoubleBitSelect { bits: b, .. })

@@ -62,6 +62,53 @@ pub fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A [`Hasher`](std::hash::Hasher) built on [`mix64`]: one mix per 64-bit
+/// word written. The simulator's address-keyed maps and sets use it instead
+/// of std's SipHash, which is randomly keyed per process and costs several
+/// times more per lookup; simulated addresses need neither property. The
+/// same keys hash the same way in every process.
+///
+/// Byte input is folded eight bytes at a time (little-endian, the last
+/// chunk zero-padded), so every `Hash` implementation works, not only
+/// integer keys.
+///
+/// ```
+/// use std::collections::HashSet;
+/// use ltse_sim::rng::Mix64BuildHasher;
+///
+/// let mut blocks: HashSet<u64, Mix64BuildHasher> = HashSet::default();
+/// blocks.insert(0x40);
+/// assert!(blocks.contains(&0x40));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mix64Hasher {
+    state: u64,
+}
+
+impl std::hash::Hasher for Mix64Hasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.state = mix64(self.state ^ x);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// Builds [`Mix64Hasher`]s: the `S` parameter of the simulator's
+/// `HashMap`/`HashSet`s (construct them with `default()`).
+pub type Mix64BuildHasher = std::hash::BuildHasherDefault<Mix64Hasher>;
+
 /// xoshiro256**: the general-purpose stream generator used throughout the
 /// simulator.
 ///
@@ -268,6 +315,37 @@ mod tests {
         let va: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
         let vb: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
         assert_ne!(va, vb);
+    }
+
+    #[test]
+    fn mix64_hasher_is_deterministic_and_total() {
+        use std::hash::{BuildHasher, Hasher};
+        let build = Mix64BuildHasher::default();
+        // Integer keys: one mix of the key, identical across hashers.
+        assert_eq!(build.hash_one(7u64), mix64(7));
+        assert_eq!(
+            build.hash_one(7u64),
+            Mix64BuildHasher::default().hash_one(7u64)
+        );
+        // Byte input of any length is folded, never rejected: an exact
+        // 8-byte chunk hashes like the equal integer, and a short tail is
+        // zero-padded.
+        let bytes = |b: &[u8]| {
+            let mut h = Mix64Hasher::default();
+            h.write(b);
+            h.finish()
+        };
+        assert_eq!(bytes(&7u64.to_le_bytes()), mix64(7));
+        assert_eq!(bytes(&[1, 2, 3]), mix64(0x03_02_01));
+        assert_eq!(bytes(&[]), 0);
+        assert_ne!(bytes(&[0; 9]), bytes(&[0; 8]), "each chunk mixes");
+        // Strings, tuples and slices go through `write`.
+        assert_ne!(build.hash_one("abc"), build.hash_one("abd"));
+        assert_ne!(build.hash_one((1u32, 2u8)), build.hash_one((2u32, 1u8)));
+        assert_ne!(
+            build.hash_one([1u16, 2, 3].as_slice()),
+            build.hash_one([1u16, 2].as_slice())
+        );
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl TmUnit {
 
     /// The core hosting `ctx`.
     pub fn core_of(&self, ctx: CtxId) -> ltse_mem::CoreId {
-        (ctx / self.smt_per_core as u32) as ltse_mem::CoreId
+        ltse_mem::core_of_ctx(ctx, self.smt_per_core)
     }
 
     // ---- lifecycle pass-throughs (see [`ThreadTmState`]) -----------------
@@ -537,6 +537,19 @@ mod tests {
 
     fn unit() -> TmUnit {
         TmUnit::with_smt(TmConfig::default_with(SignatureKind::Perfect), 8, 2)
+    }
+
+    #[test]
+    fn core_of_matches_division_for_every_smt_width() {
+        for smt in [1u8, 2, 4, 3] {
+            let n_ctxs = 64 * u32::from(smt);
+            let u =
+                TmUnit::empty_with_smt(TmConfig::default_with(SignatureKind::Perfect), n_ctxs, smt);
+            for ctx in 0..n_ctxs {
+                assert_eq!(u.core_of(ctx), (ctx / u32::from(smt)) as ltse_mem::CoreId);
+                assert!(u.ctxs_on_core(u.core_of(ctx)).contains(&ctx));
+            }
+        }
     }
 
     #[test]

@@ -159,6 +159,21 @@ if ! cmp -s "$out1" "$out4"; then
 fi
 echo "ok: stdout byte-identical across worker counts ($(wc -c <"$out1") bytes)"
 
+# Golden output: the quick evaluation's exact bytes (FNV-1a of the whole
+# stdout, Table 1 included). Host-speed changes must leave it alone.
+golden=ef7dc19653afc49c
+digest=$(python3 -c '
+import sys
+h = 0xcbf29ce484222325
+for b in open(sys.argv[1], "rb").read():
+    h = ((h ^ b) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+print(f"{h:016x}")' "$out1")
+if [ "$digest" != "$golden" ]; then
+    echo "FAIL: quick repro stdout digest $digest, expected $golden" >&2
+    exit 1
+fi
+echo "ok: quick repro stdout matches the golden digest $golden"
+
 # LTSE_JOBS env-var path: must also match.
 LTSE_JOBS=4 "$repro" --quick all >"$out4" 2>/dev/null
 if ! cmp -s "$out1" "$out4"; then
