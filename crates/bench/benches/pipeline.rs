@@ -1,18 +1,11 @@
-//! Pipeline-level benchmarks for the PR 4 performance work: the persistent
-//! run cache and parallel schedule exploration.
+//! Pipeline-level benchmark: parallel schedule exploration.
 //!
-//! Unlike `hotpath` (micro-benchmarks of individual data structures), every
-//! case here times a whole pipeline stage — a full experiment sweep or a
-//! full exploration — and each optimized path is measured **against its
-//! baseline in the same run**:
-//!
-//! * `cache/sweep_cold` vs `cache/sweep_warm` — the figure-4 sweep with an
-//!   emptied cache directory (every run recomputed and stored) vs the same
-//!   sweep served entirely from the populated cache;
-//! * `explore/jobs_1` vs `explore/jobs_N` — schedule exploration of a
-//!   contended-counter system sequentially vs fanned out over the worker
-//!   pool, with the reports asserted identical before any timing is
-//!   reported.
+//! Unlike `hotpath` (micro-benchmarks of individual data structures), the
+//! case here times a whole pipeline stage — a full exploration — and the
+//! parallel path is measured **against its sequential baseline in the same
+//! run**: `explore/jobs_1` vs `explore/jobs_N` explores a contended-counter
+//! system sequentially vs fanned out over the worker pool, with the reports
+//! asserted identical before any timing is reported.
 //!
 //! Output:
 //!
@@ -34,8 +27,7 @@ use logtm_se::{
     explore, explore_jobs, Cycle, ExploreConfig, ExploreReport, ScheduleChooser, System,
     SystemBuilder, TxScript, WordAddr,
 };
-use ltse_bench::experiments::ExperimentScale;
-use ltse_bench::{cache, figure4, harness, runner};
+use ltse_bench::harness;
 use ltse_sim::parallel::effective_jobs;
 
 struct CaseResult {
@@ -129,27 +121,6 @@ fn main() {
     let iters = harness::iters(if quick { 2 } else { 10 });
     let mut out: Vec<CaseResult> = Vec::new();
 
-    // ---- run cache: cold sweep vs warm sweep ----------------------------
-    // The figure-4 sweep at quick scale (90 simulation runs). Cold empties
-    // the cache directory first, so every run is simulated and stored; warm
-    // reuses the directory the warmup populated, so every run is a hit.
-    // Clearing the directory is part of the cold closure — it is orders of
-    // magnitude cheaper than the simulations it forces.
-    let scale = ExperimentScale::quick();
-    let dir = std::env::temp_dir().join(format!("ltse-bench-pipeline-{}", std::process::id()));
-    time_case(&mut out, "cache", "sweep_cold", iters, || {
-        let _ = std::fs::remove_dir_all(&dir);
-        cache::set_cache_dir(&dir).expect("open bench cache dir");
-        figure4(&scale).expect("figure4 sweep")
-    });
-    time_case(&mut out, "cache", "sweep_warm", iters, || {
-        cache::set_cache_dir(&dir).expect("open bench cache dir");
-        figure4(&scale).expect("figure4 sweep")
-    });
-    cache::disable_cache();
-    let _ = std::fs::remove_dir_all(&dir);
-    runner::take_timings(); // the sweeps above filled the timing registry
-
     // ---- schedule exploration: sequential vs worker pool ----------------
     let budget = if quick { 96 } else { 512 };
     let cfg = ExploreConfig {
@@ -200,13 +171,7 @@ fn main() {
         ));
     }
     json.push_str("  ],\n  \"speedups\": {\n");
-    let pairs = [
-        (
-            "cache_warm_vs_cold",
-            speedup(&out, "cache", "sweep_cold", "sweep_warm"),
-        ),
-        ("explore_parallel", speedup(&out, "explore", "jobs_1", name)),
-    ];
+    let pairs = [("explore_parallel", speedup(&out, "explore", "jobs_1", name))];
     for (i, (pname, s)) in pairs.iter().enumerate() {
         json.push_str(&format!(
             "    \"{pname}\": {}{}\n",

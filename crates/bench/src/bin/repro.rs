@@ -3,8 +3,8 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--quick] [--csv] [--jobs N] [--cache-dir DIR] [--no-cache]
-//!       [--stats-json PATH] [--backend sim|stm] <subcommand>
+//! repro [--quick] [--csv] [--jobs N] [--stats-json PATH]
+//!       [--backend sim|stm] <subcommand>
 //!
 //! Subcommands:
 //!   table1         System model parameters (paper Table 1)
@@ -29,7 +29,9 @@
 //! ```
 //!
 //! `--quick` runs at reduced scale (for smoke tests); `--csv` emits
-//! machine-readable CSV for `table2`, `figure4`, and `table3`.
+//! machine-readable CSV for `table2`, `figure4`, and `table3`. Any other
+//! `--flag`, a flag missing its value, or `--jobs 0` is a usage error
+//! (exit 2).
 //!
 //! Every experiment fans its independent simulation runs out over a worker
 //! pool. `--jobs N` (or the `LTSE_JOBS` environment variable) sets the
@@ -44,8 +46,8 @@
 //! document (`ltse.stats.v1`): one observability-enabled run per sweep
 //! experiment with cause-attributed stall/abort/NACK breakdowns that
 //! provably reconcile with the aggregate counters. The document is produced
-//! sequentially outside the pool and the cache, so its bytes are identical
-//! across `--jobs` values and cache configurations, and stdout is unchanged.
+//! sequentially outside the pool, so its bytes are identical across `--jobs`
+//! values, and stdout is unchanged.
 //!
 //! `--backend stm` targets the real-concurrency TL2 STM backend instead of
 //! the cycle-level simulator: it runs every Table-2 workload on both
@@ -53,7 +55,7 @@
 //! wall clock), and `oltp` runs every skew/mix point on both engines with
 //! a final-KV-state cross-check. Because the STM numbers are wall-clock
 //! from real OS threads, those tables are *not* byte-deterministic and the
-//! runs bypass the worker pool and the cache; only the `table2`, `oltp`,
+//! runs bypass the worker pool; only the `table2`, `oltp`,
 //! and `all` subcommands are meaningful there. `--stats-json` on the STM
 //! branch writes the STM telemetry document: per-cause abort counters
 //! (locked/stale/serial-fallback) mapped onto the obs layer with a
@@ -71,19 +73,13 @@
 //! points — Mp3d plus two OLTP skew/mix points — on **both** backends in
 //! one table. Its STM rows are wall-clock and therefore not
 //! byte-deterministic, so like `oltp` it stays out of `all`.
-//!
-//! `--cache-dir DIR` (or the `LTSE_CACHE` environment variable) enables the
-//! persistent run cache: repeated sweeps with identical inputs are served
-//! from disk instead of re-simulated, and `[timing]` lines report
-//! hit/miss/stale traffic. `--no-cache` disables caching even when
-//! `LTSE_CACHE` is set. Caching never changes stdout — only how fast it is
-//! produced.
 
 use logtm_se::{MemConfig, SystemBuilder};
 use ltse_bench::experiments::ExperimentScale;
 use ltse_bench::runner::{self, SweepError};
 use ltse_bench::render;
 use ltse_bench::*;
+use ltse_workloads::BackendKind;
 
 fn table1_text() -> String {
     let b = SystemBuilder::paper_default();
@@ -140,128 +136,102 @@ fn report_timings() {
     }
 }
 
-/// Accepts `--cache-dir DIR` and `--cache-dir=DIR`. Returns the directory,
-/// if the flag was given.
-fn parse_cache_dir(args: &[String]) -> Option<String> {
-    let bad = || -> ! {
-        eprintln!("error: --cache-dir requires a directory path");
-        std::process::exit(2);
-    };
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--cache-dir=") {
-            return Some(v.to_string());
-        }
-        if a == "--cache-dir" {
-            return Some(args.get(i + 1).cloned().unwrap_or_else(|| bad()));
-        }
-    }
-    None
+const USAGE: &str =
+    "usage: repro [--quick] [--csv] [--jobs N] [--stats-json PATH] [--backend sim|stm] <subcommand>";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
-/// Accepts `--stats-json PATH` and `--stats-json=PATH`. Returns the output
-/// path, if the flag was given.
-fn parse_stats_json(args: &[String]) -> Option<String> {
-    let bad = || -> ! {
-        eprintln!("error: --stats-json requires an output file path");
-        std::process::exit(2);
-    };
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--stats-json=") {
-            return Some(v.to_string());
-        }
-        if a == "--stats-json" {
-            return Some(args.get(i + 1).cloned().unwrap_or_else(|| bad()));
-        }
-    }
-    None
+/// The parsed command line.
+struct Cli {
+    quick: bool,
+    csv: bool,
+    jobs: Option<usize>,
+    stats_json: Option<String>,
+    backend: BackendKind,
+    cmd: String,
 }
 
-/// Accepts `--backend KIND` and `--backend=KIND`; defaults to the
-/// simulator, keeping flag-less stdout untouched.
-fn parse_backend(args: &[String]) -> ltse_workloads::BackendKind {
-    let bad = |v: &str| -> ! {
-        eprintln!("error: --backend: {v}");
-        std::process::exit(2);
+/// Parses the arguments in one pass. Valued flags accept both `--flag V`
+/// and `--flag=V`; anything unrecognised is a usage error rather than
+/// silently ignored (a mistyped `--quick` must not run at full scale).
+fn parse_args(args: &[String]) -> Cli {
+    let mut cli = Cli {
+        quick: false,
+        csv: false,
+        jobs: None,
+        stats_json: None,
+        backend: BackendKind::Sim,
+        cmd: String::new(),
     };
-    for (i, a) in args.iter().enumerate() {
-        let value = if let Some(v) = a.strip_prefix("--backend=") {
-            Some(v.to_string())
-        } else if a == "--backend" {
-            Some(
-                args.get(i + 1)
-                    .cloned()
-                    .unwrap_or_else(|| bad("requires a value (sim|stm)")),
-            )
-        } else {
-            None
-        };
-        if let Some(v) = value {
-            return v.parse().unwrap_or_else(|e: String| bad(&e));
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => cli.quick = true,
+            "--csv" => cli.csv = true,
+            a if a.starts_with("--") => {
+                let (flag, inline) = match a.split_once('=') {
+                    Some((f, v)) => (f, Some(v.to_string())),
+                    None => (a, None),
+                };
+                let value = || {
+                    inline
+                        .or_else(|| it.next().cloned())
+                        .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")))
+                };
+                match flag {
+                    "--jobs" => {
+                        let v = value();
+                        let n = v.parse().ok().filter(|&n: &usize| n > 0).unwrap_or_else(|| {
+                            usage_error(&format!("--jobs requires a positive integer, got `{v}`"))
+                        });
+                        cli.jobs = Some(n);
+                    }
+                    "--stats-json" => cli.stats_json = Some(value()),
+                    "--backend" => {
+                        cli.backend = value()
+                            .parse()
+                            .unwrap_or_else(|e: String| usage_error(&format!("--backend: {e}")))
+                    }
+                    _ => usage_error(&format!("unknown flag `{a}`")),
+                }
+            }
+            a if cli.cmd.is_empty() => cli.cmd = a.to_string(),
+            a => usage_error(&format!("unexpected argument `{a}`")),
         }
     }
-    ltse_workloads::BackendKind::Sim
-}
-
-fn parse_jobs(args: &[String]) -> Option<usize> {
-    // Accept `--jobs N` and `--jobs=N`. A missing or non-numeric value is a
-    // usage error, not something to silently ignore.
-    let bad = |v: &str| -> ! {
-        eprintln!("error: --jobs requires a positive integer, got `{v}`");
-        std::process::exit(2);
-    };
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return Some(v.parse().unwrap_or_else(|_| bad(v)));
-        }
-        if a == "--jobs" {
-            let v = args.get(i + 1).unwrap_or_else(|| bad("nothing"));
-            return Some(v.parse().unwrap_or_else(|_| bad(v)));
-        }
+    if cli.cmd.is_empty() {
+        cli.cmd = "all".to_string();
     }
-    None
+    cli
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-    let jobs = parse_jobs(&args);
+    let Cli {
+        quick,
+        csv,
+        jobs,
+        stats_json,
+        backend,
+        cmd,
+    } = parse_args(&args);
     runner::set_jobs(jobs);
-    if args.iter().any(|a| a == "--no-cache") {
-        ltse_bench::cache::disable_cache();
-    } else if let Some(dir) = parse_cache_dir(&args) {
-        if let Err(e) = ltse_bench::cache::set_cache_dir(&dir) {
-            eprintln!("error: cannot open cache dir `{dir}`: {e}");
-            std::process::exit(2);
-        }
-    }
     let scale = if quick {
         ExperimentScale::quick()
     } else {
         ExperimentScale::full()
     };
-    let mut skip_next = false;
-    let cmd = args
-        .iter()
-        .find(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--jobs" || *a == "--cache-dir" || *a == "--stats-json" || *a == "--backend"
-            {
-                skip_next = true;
-            }
-            !a.starts_with("--") && !skip_next
-        })
-        .map(String::as_str)
-        .unwrap_or("all");
+    let cmd = cmd.as_str();
 
     // The STM backend has exactly one table: the sim-vs-stm differential
     // comparison over the Table-2 workloads. It runs sequentially (real
-    // wall clock — no pool, no cache) and exits here so the simulator-only
-    // machinery below (stats-json, cache gc) never engages.
-    if parse_backend(&args) == ltse_workloads::BackendKind::Stm {
+    // wall clock — no pool) and exits here so the simulator-only stats-json
+    // export below never engages.
+    if backend == BackendKind::Stm {
         let mut ok = match cmd {
             "table2" | "all" => emit(stm_compare(&scale), |r| render::render_stm(r)),
             "oltp" => emit(oltp_compare(&scale), |r| render::render_oltp(r)),
@@ -270,10 +240,10 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        if let Some(path) = parse_stats_json(&args) {
+        if let Some(path) = &stats_json {
             match ltse_bench::stats_json::stats_json_stm(&scale) {
                 Ok(doc) => {
-                    if let Err(e) = std::fs::write(&path, &doc) {
+                    if let Err(e) = std::fs::write(path, &doc) {
                         eprintln!("error: cannot write stats-json to `{path}`: {e}");
                         ok = false;
                     } else {
@@ -321,7 +291,7 @@ fn main() {
             "nesting" => emit(nesting_ablation(&scale), |r| render::render_nesting(r)),
             "smt" => emit(smt_comparison(&scale), |r| render::render_smt(r)),
             "oltp" => emit(
-                oltp_experiment(&scale, ltse_workloads::BackendKind::Sim),
+                oltp_experiment(&scale, BackendKind::Sim),
                 |r| render::render_oltp(r),
             ),
             "policy" => emit(policy_sweep(&scale), |r| render::render_policy_sweep(r)),
@@ -361,14 +331,13 @@ fn main() {
         all_ok = run_one(cmd);
     }
     // Telemetry export: one observability-enabled run per experiment,
-    // executed sequentially outside the pool and the cache, so the emitted
-    // bytes are identical whatever `--jobs` or the cache configuration
-    // says. Written to the given file; stdout stays byte-identical to a
-    // flag-less invocation.
-    if let Some(path) = parse_stats_json(&args) {
+    // executed sequentially outside the pool, so the emitted bytes are
+    // identical whatever `--jobs` says. Written to the given file; stdout
+    // stays byte-identical to a flag-less invocation.
+    if let Some(path) = &stats_json {
         match ltse_bench::stats_json::stats_json(&scale) {
             Ok(doc) => {
-                if let Err(e) = std::fs::write(&path, &doc) {
+                if let Err(e) = std::fs::write(path, &doc) {
                     eprintln!("error: cannot write stats-json to `{path}`: {e}");
                     all_ok = false;
                 } else {
@@ -379,15 +348,6 @@ fn main() {
                 eprintln!("error: stats-json run failed: {e}");
                 all_ok = false;
             }
-        }
-    }
-    if let Some(cache) = ltse_bench::cache::active_cache() {
-        let gc = cache.gc();
-        if gc.evicted > 0 {
-            eprintln!(
-                "[cache] gc: evicted {} of {} entries ({} bytes freed)",
-                gc.evicted, gc.entries, gc.bytes_evicted
-            );
         }
     }
     if !all_ok {

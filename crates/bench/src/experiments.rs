@@ -16,7 +16,6 @@ use ltse_workloads::{
     PolicyTune, RunParams, SyncMode,
 };
 
-use crate::cache::{fp_params, run_fp};
 use crate::runner::{sweep, sweep_ok, FailedRun, SweepError};
 
 /// How big each experiment runs: the trade-off between statistical quality
@@ -123,13 +122,6 @@ pub fn contention_policies(scale: &ExperimentScale) -> Result<Vec<PolicyRow>, Sw
             ContentionPolicy::RequesterAborts,
             ContentionPolicy::SizeMatters,
         ] {
-            let fp = run_fp("contention_policies")
-                .feed(&benchmark)
-                .feed(&policy)
-                .feed(&seed)
-                .feed(&scale.threads)
-                .feed(&scale.units_per_thread)
-                .finish();
             specs.push(RunSpec::new(
                 format!("contention/{benchmark}/{policy:?}"),
                 move || {
@@ -159,7 +151,7 @@ pub fn contention_policies(scale: &ExperimentScale) -> Result<Vec<PolicyRow>, Sw
                         completed,
                     }
                 },
-            ).keyed(fp));
+            ));
         }
     }
     sweep_ok("contention_policies", specs)
@@ -196,15 +188,6 @@ pub fn smt_comparison(scale: &ExperimentScale) -> Result<Vec<SmtRow>, SweepError
         for (machine, n_cores, smt, grid) in
             [("16x2 SMT", 16u16, 2u8, (4usize, 4usize)), ("32x1", 32, 1, (6, 6))]
         {
-            let fp = run_fp("smt_comparison")
-                .feed(&benchmark)
-                .feed(&n_cores)
-                .feed(&smt)
-                .feed(&grid.0)
-                .feed(&grid.1)
-                .feed(&seed)
-                .feed(&scale.units_per_thread)
-                .finish();
             specs.push(RunSpec::new(format!("smt/{benchmark}/{machine}"), move || {
                 let mut mem = logtm_se::MemConfig::paper_cmp();
                 mem.n_cores = n_cores;
@@ -227,7 +210,7 @@ pub fn smt_comparison(scale: &ExperimentScale) -> Result<Vec<SmtRow>, SweepError
                     sibling_stalls: r.tm.sibling_stalls,
                     stalls: r.tm.stalls,
                 })
-            }).keyed(fp));
+            }));
         }
     }
     sweep("smt_comparison", specs)
@@ -340,12 +323,6 @@ pub fn nesting_ablation(scale: &ExperimentScale) -> Result<Vec<NestingRow>, Swee
     let specs = [("flat", false), ("nested", true)]
         .into_iter()
         .map(|(shape, nested)| {
-            let fp = run_fp("nesting_ablation")
-                .feed(&nested)
-                .feed(&seed)
-                .feed(&scale.threads.min(16))
-                .feed(&scale.units_per_thread)
-                .finish();
             RunSpec::new(format!("nesting/{shape}"), move || {
                 let mut system = SystemBuilder::paper_default()
                     .signature(SignatureKind::paper_bs_2kb())
@@ -368,7 +345,6 @@ pub fn nesting_ablation(scale: &ExperimentScale) -> Result<Vec<NestingRow>, Swee
                     wasted_cycles: r.tm.wasted_cycles,
                 })
             })
-            .keyed(fp)
         })
         .collect();
     sweep("nesting_ablation", specs)
@@ -402,13 +378,6 @@ pub fn multi_cmp_comparison(scale: &ExperimentScale) -> Result<Vec<MultiCmpRow>,
     let mut specs = Vec::new();
     for benchmark in [Benchmark::Mp3d, Benchmark::BerkeleyDb] {
         for chips in [1u8, 2, 4] {
-            let fp = run_fp("multi_cmp_comparison")
-                .feed(&benchmark)
-                .feed(&chips)
-                .feed(&seed)
-                .feed(&scale.threads)
-                .feed(&scale.units_per_thread)
-                .finish();
             specs.push(RunSpec::new(
                 format!("multi_cmp/{benchmark}/chips={chips}"),
                 move || {
@@ -431,7 +400,7 @@ pub fn multi_cmp_comparison(scale: &ExperimentScale) -> Result<Vec<MultiCmpRow>,
                         messages: r.mem.messages.get(),
                     })
                 },
-            ).keyed(fp));
+            ));
         }
     }
     sweep("multi_cmp_comparison", specs)
@@ -474,7 +443,6 @@ pub fn snooping_comparison(scale: &ExperimentScale) -> Result<Vec<SnoopRow>, Swe
             for signature in [SignatureKind::paper_bs_2kb(), SignatureKind::paper_bs_64()] {
                 let mut p = params(&scale, benchmark, SyncMode::Tm, signature, seed);
                 p.coherence = coherence;
-                let fp = fp_params("snooping_comparison", &p);
                 specs.push(RunSpec::new(
                     format!("snooping/{benchmark}/{coherence}/{}", signature.label()),
                     move || {
@@ -489,7 +457,7 @@ pub fn snooping_comparison(scale: &ExperimentScale) -> Result<Vec<SnoopRow>, Swe
                             stalls: r.tm.stalls,
                         })
                     },
-                ).keyed(fp));
+                ));
             }
         }
     }
@@ -537,7 +505,7 @@ pub fn figure4(scale: &ExperimentScale) -> Result<Vec<Fig4Row>, SweepError> {
             specs.push(RunSpec::new(
                 format!("figure4/{benchmark}/lock/seed={s}"),
                 move || run_benchmark(&p).map(|r| r.throughput_per_kcycle()),
-            ).keyed(fp_params("figure4", &p)));
+            ));
         }
         for kind in SignatureKind::figure4_set() {
             for &s in &seeds {
@@ -545,7 +513,7 @@ pub fn figure4(scale: &ExperimentScale) -> Result<Vec<Fig4Row>, SweepError> {
                 specs.push(RunSpec::new(
                     format!("figure4/{benchmark}/tm/{}/seed={s}", kind.label()),
                     move || run_benchmark(&p).map(|r| r.throughput_per_kcycle()),
-                ).keyed(fp_params("figure4", &p)));
+                ));
             }
         }
     }
@@ -645,7 +613,6 @@ pub fn table2(scale: &ExperimentScale) -> Result<Vec<Table2Row>, SweepError> {
                     write_max: r.tm.write_set.max().unwrap_or(0),
                 })
             })
-            .keyed(fp_params("table2", &p))
         })
         .collect();
     sweep("table2", specs)
@@ -714,7 +681,7 @@ pub fn table3(scale: &ExperimentScale) -> Result<Vec<Table3Row>, SweepError> {
                         false_positive_pct: r.tm.false_positive_pct(),
                     })
                 },
-            ).keyed(fp_params("table3", &p)));
+            ));
         }
     }
     sweep("table3", specs)
@@ -758,7 +725,6 @@ pub fn victimization(scale: &ExperimentScale) -> Result<Vec<VictimRow>, SweepErr
                     broadcasts: r.mem.lost_dir_broadcasts.get(),
                 })
             })
-            .keyed(fp_params("victimization", &p))
         })
         .collect();
     sweep("victimization", specs)
@@ -806,7 +772,7 @@ pub fn signature_sweep(scale: &ExperimentScale) -> Result<Vec<SweepRow>, SweepEr
         let p = params(&scale, benchmark, SyncMode::Lock, SignatureKind::Perfect, seed);
         specs.push(RunSpec::new(format!("sig_sweep/{benchmark}/lock"), move || {
             run_benchmark(&p).map(|r| (r.throughput_per_kcycle(), None, 0))
-        }).keyed(fp_params("signature_sweep", &p)));
+        }));
         for bits in [64usize, 128, 256, 512, 1024, 2048, 4096] {
             for signature in sweep_signatures(bits) {
                 let p = params(&scale, benchmark, SyncMode::Tm, signature, seed);
@@ -817,7 +783,7 @@ pub fn signature_sweep(scale: &ExperimentScale) -> Result<Vec<SweepRow>, SweepEr
                             (r.throughput_per_kcycle(), r.tm.false_positive_pct(), r.tm.aborts)
                         })
                     },
-                ).keyed(fp_params("signature_sweep", &p)));
+                ));
             }
         }
     }
@@ -889,11 +855,6 @@ pub fn sticky_ablation(scale: &ExperimentScale) -> Result<Vec<StickyRow>, SweepE
     // here by a 5M-cycle watchdog) — hitting the watchdog is the result,
     // not a failure.
     for sticky in [true, false] {
-        let fp = run_fp("sticky_ablation/overflow-micro")
-            .feed(&sticky)
-            .feed(&seed)
-            .feed(&scale.units_per_thread.max(4))
-            .finish();
         specs.push(RunSpec::new(
             format!("sticky/overflow-micro/sticky={sticky}"),
             move || {
@@ -931,14 +892,13 @@ pub fn sticky_ablation(scale: &ExperimentScale) -> Result<Vec<StickyRow>, SweepE
                     completed,
                 })
             },
-        ).keyed(fp));
+        ));
     }
 
     // Mp3d: tiny footprints — sticky should cost/buy nothing.
     for sticky in [true, false] {
         let mut p = params(&scale, Benchmark::Mp3d, SyncMode::Tm, SignatureKind::Perfect, seed);
         p.sticky = sticky;
-        let fp = fp_params("sticky_ablation", &p);
         specs.push(RunSpec::new(format!("sticky/mp3d/sticky={sticky}"), move || {
             let r = run_benchmark(&p)?;
             Ok(StickyRow {
@@ -949,7 +909,7 @@ pub fn sticky_ablation(scale: &ExperimentScale) -> Result<Vec<StickyRow>, SweepE
                 victimizations: r.mem.tx_victimizations_exact(),
                 completed: true,
             })
-        }).keyed(fp));
+        }));
     }
     sweep("sticky_ablation", specs)
 }
@@ -980,12 +940,6 @@ pub fn log_filter_ablation(scale: &ExperimentScale) -> Result<Vec<LogFilterRow>,
     let specs = [0usize, 1, 2, 4, 8, 16, 32, 64]
         .into_iter()
         .map(|entries| {
-            let fp = run_fp("log_filter_ablation")
-                .feed(&entries)
-                .feed(&seed)
-                .feed(&scale.threads)
-                .feed(&scale.units_per_thread)
-                .finish();
             RunSpec::new(format!("log_filter/entries={entries}"), move || {
                 let mut system = SystemBuilder::paper_default()
                     .signature(SignatureKind::Perfect)
@@ -1013,7 +967,6 @@ pub fn log_filter_ablation(scale: &ExperimentScale) -> Result<Vec<LogFilterRow>,
                     cycles: r.cycles,
                 })
             })
-            .keyed(fp)
         })
         .collect();
     sweep("log_filter_ablation", specs)
@@ -1084,30 +1037,16 @@ pub fn virtualization_overhead(scale: &ExperimentScale) -> Result<Vec<VirtRow>, 
 
     // Baseline: exactly as many threads as contexts, no preemption; same
     // total units as the oversubscribed runs do per thread.
-    let fp_virt = move |threads: u32, preemption: Option<(Cycle, bool)>| {
-        let mut h = run_fp("virtualization_overhead");
-        h.write_u64(threads as u64);
-        match preemption {
-            None => h.write_u64(0),
-            Some((q, defer)) => {
-                h.write_u64(1);
-                h.write_u64(q.as_u64());
-                h.write_u64(defer as u64);
-            }
-        }
-        h.feed(&seed).feed(&scale.units_per_thread).finish()
-    };
 
     let mut specs = vec![RunSpec::new("virtualization/baseline", move || {
         run_with(n_ctxs, None).map(|r| row_from(r, None, false))
-    })
-    .keyed(fp_virt(n_ctxs, None))];
+    })];
     for quantum in [Cycle(20_000), Cycle(5_000)] {
         for defer in [true, false] {
             specs.push(RunSpec::new(
                 format!("virtualization/q={}/defer={defer}", quantum.as_u64()),
                 move || run_with(threads, Some((quantum, defer))).map(|r| row_from(r, Some(quantum), defer)),
-            ).keyed(fp_virt(threads, Some((quantum, defer)))));
+            ));
         }
     }
     sweep("virtualization_overhead", specs)
@@ -1153,10 +1092,9 @@ pub struct StmRow {
 /// Runs every Table-2 workload in TM mode on the cycle-level simulator and
 /// on the TL2 STM backend, side by side.
 ///
-/// Unlike the sweep experiments this runs sequentially and bypasses both
-/// the worker pool and the persistent cache: the STM side measures real
-/// wall clock on real threads, so sharing cores with sibling runs (or
-/// serving a stale cached time) would corrupt the one number the
+/// Unlike the sweep experiments this runs sequentially and bypasses the
+/// worker pool: the STM side measures real wall clock on real threads, so
+/// sharing cores with sibling runs would corrupt the one number the
 /// experiment exists to report.
 pub fn stm_compare(scale: &ExperimentScale) -> Result<Vec<StmRow>, SweepError> {
     let seed = seed_sequence(scale.base_seed, 1)[0];
@@ -1308,8 +1246,8 @@ fn oltp_row(
 /// `repro oltp`: the open-loop OLTP skew/mix points on one backend.
 ///
 /// Runs sequentially (open-loop latency distributions shouldn't share the
-/// host with sibling runs, and on stm they're wall-clock) and bypasses the
-/// cache. Sim rows are fully deterministic — cycles in, cycles out.
+/// host with sibling runs, and on stm they're wall-clock). Sim rows are
+/// fully deterministic — cycles in, cycles out.
 pub fn oltp_experiment(
     scale: &ExperimentScale,
     kind: BackendKind,
@@ -1456,9 +1394,9 @@ fn policy_tune(policy: ContentionPolicy) -> PolicyTune {
 /// ever far from the per-point best?
 ///
 /// Sim rows (the Mp3d point and the OLTP points on `sim`) are deterministic
-/// and fan out through the cached parallel runner. STM rows run real
-/// threads sequentially (wall-clock goodput shouldn't share the host) and
-/// bypass the cache, like the `oltp` experiment.
+/// and fan out through the parallel runner. STM rows run real threads
+/// sequentially (wall-clock goodput shouldn't share the host), like the
+/// `oltp` experiment.
 pub fn policy_sweep(scale: &ExperimentScale) -> Result<Vec<PolicySweepRow>, SweepError> {
     let scale = *scale;
     let seed = seed_sequence(scale.base_seed, 1)[0];
@@ -1466,12 +1404,6 @@ pub fn policy_sweep(scale: &ExperimentScale) -> Result<Vec<PolicySweepRow>, Swee
     // Mp3d at fixed work: the paper's most contended Table 2 benchmark.
     let mut specs = Vec::new();
     for policy in ContentionPolicy::ALL {
-        let fp = run_fp("policy_sweep")
-            .feed(&policy)
-            .feed(&seed)
-            .feed(&scale.threads)
-            .feed(&scale.units_per_thread)
-            .finish();
         specs.push(
             RunSpec::new(format!("policy/mp3d/{}", policy.name()), move || {
                 let mut system = SystemBuilder::paper_default()
@@ -1503,7 +1435,6 @@ pub fn policy_sweep(scale: &ExperimentScale) -> Result<Vec<PolicySweepRow>, Swee
                     completed,
                 }
             })
-            .keyed(fp),
         );
     }
     let mut rows = sweep_ok("policy_sweep", specs)?;

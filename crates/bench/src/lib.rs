@@ -10,7 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod experiments;
 pub mod harness;
 pub mod render;

@@ -16,10 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use ltse_sim::cache::{CacheCounts, CacheValue};
-use ltse_sim::parallel::{effective_jobs, run_pool_cached, PoolOutput, RunSpec};
-
-use crate::cache::active_cache;
+use ltse_sim::parallel::{effective_jobs, run_pool, PoolOutput, RunSpec};
 
 /// The process-wide worker-count override. 0 means "unset": fall back to
 /// `LTSE_JOBS`, then [`std::thread::available_parallelism`].
@@ -60,9 +57,6 @@ pub struct ExpTiming {
     pub runs_per_sec: f64,
     /// Mean per-run wall-clock time in milliseconds.
     pub mean_run_ms: f64,
-    /// Run-cache traffic (all zero when caching is disabled, in which case
-    /// the rendered timing line is byte-identical to the uncached pipeline).
-    pub cache: CacheCounts,
 }
 
 impl std::fmt::Display for ExpTiming {
@@ -78,17 +72,6 @@ impl std::fmt::Display for ExpTiming {
             self.runs_per_sec,
             self.mean_run_ms,
         )?;
-        if self.cache.total() > 0 {
-            write!(
-                f,
-                " — cache: {} hit{}, {} miss{}, {} stale",
-                self.cache.hits,
-                if self.cache.hits == 1 { "" } else { "s" },
-                self.cache.misses,
-                if self.cache.misses == 1 { "" } else { "es" },
-                self.cache.stale,
-            )?;
-        }
         if self.failed > 0 {
             write!(f, " — {} FAILED", self.failed)?;
         }
@@ -150,7 +133,6 @@ fn record_timing<T>(experiment: &'static str, out: &PoolOutput<T>, failed: usize
         jobs: out.jobs,
         runs_per_sec: out.runs_per_sec(),
         mean_run_ms: out.per_run_nanos.mean().unwrap_or(0.0) / 1e6,
-        cache: out.cache,
     };
     TIMINGS.lock().expect("timing registry lock").push(timing);
 }
@@ -158,21 +140,16 @@ fn record_timing<T>(experiment: &'static str, out: &PoolOutput<T>, failed: usize
 /// Runs a sweep whose jobs return `Result<R, E>`: both panics and `Err`s
 /// count as failures. Returns the `R`s in submission order, or a
 /// [`SweepError`] naming every failed run.
-///
-/// Specs carrying a fingerprint ([`RunSpec::keyed`]) are served from the
-/// [active cache](crate::cache::active_cache) when possible — `Err` results
-/// included, since deterministic simulator errors are results too.
 pub fn sweep<R, E>(
     experiment: &'static str,
     specs: Vec<RunSpec<Result<R, E>>>,
 ) -> Result<Vec<R>, SweepError>
 where
-    R: Send + CacheValue,
-    E: std::fmt::Display + Send + CacheValue,
+    R: Send,
+    E: std::fmt::Display + Send,
 {
     let labels: Vec<String> = specs.iter().map(|s| s.label.clone()).collect();
-    let cache = active_cache();
-    let out = run_pool_cached(specs, jobs(), cache.as_deref());
+    let out = run_pool(specs, jobs());
     let mut rows = Vec::with_capacity(out.results.len());
     let mut failures = Vec::new();
     let runs = out.results.len();
@@ -209,13 +186,12 @@ where
 /// Runs a sweep whose jobs handle simulator errors internally (e.g. the
 /// log-overflow configurations that legitimately hit the cycle limit): only
 /// a panic counts as a failure.
-pub fn sweep_ok<R: Send + CacheValue>(
+pub fn sweep_ok<R: Send>(
     experiment: &'static str,
     specs: Vec<RunSpec<R>>,
 ) -> Result<Vec<R>, SweepError> {
     let labels: Vec<String> = specs.iter().map(|s| s.label.clone()).collect();
-    let cache = active_cache();
-    let out = run_pool_cached(specs, jobs(), cache.as_deref());
+    let out = run_pool(specs, jobs());
     let runs = out.results.len();
     let failures: Vec<FailedRun> = out
         .results

@@ -1,16 +1,15 @@
 //! `repro --stats-json` — machine-readable telemetry export.
 //!
 //! One observability-enabled run per experiment of the paper's evaluation,
-//! serialized as a versioned JSON document ([`STATS_SCHEMA`], schema-tagged
-//! like the run cache). Each row carries the aggregate `TmStats` counters
-//! *and* the obs layer's cause-attributed breakdowns side by side, plus a
-//! `reconciled` block asserting that the per-cause counts sum back to the
-//! aggregates — the contract downstream tooling can rely on.
+//! serialized as a versioned JSON document ([`STATS_SCHEMA`]). Each row
+//! carries the aggregate `TmStats` counters *and* the obs layer's
+//! cause-attributed breakdowns side by side, plus a `reconciled` block
+//! asserting that the per-cause counts sum back to the aggregates — the
+//! contract downstream tooling can rely on.
 //!
-//! Determinism is load-bearing: the runs here execute sequentially, bypass
-//! the run cache entirely, and every map in the document iterates in sorted
-//! order, so the emitted bytes are identical whatever `--jobs` says and
-//! whether or not a cache directory is configured.
+//! Determinism is load-bearing: the runs here execute sequentially, outside
+//! the worker pool, and every map in the document iterates in sorted order,
+//! so the emitted bytes are identical whatever `--jobs` says.
 
 use logtm_se::{
     ContentionPolicy, CoherenceKind, Cycle, ObsReport, RunReport, SignatureKind, SystemBuilder,

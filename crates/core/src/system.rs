@@ -66,43 +66,6 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Deterministic run errors (watchdogs included) are results, not flukes, so
-/// sweeps that treat them as data can cache them alongside successes.
-impl ltse_sim::cache::CacheValue for RunError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            RunError::CycleLimit { at, unfinished } => {
-                out.push(0);
-                at.encode(out);
-                unfinished.encode(out);
-            }
-            RunError::EventLimit => out.push(1),
-            RunError::NoThreads => out.push(2),
-            RunError::TooManyThreads { threads, ctxs } => {
-                out.push(3);
-                threads.encode(out);
-                ctxs.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut ltse_sim::cache::ByteReader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => RunError::CycleLimit {
-                at: Cycle::decode(r)?,
-                unfinished: usize::decode(r)?,
-            },
-            1 => RunError::EventLimit,
-            2 => RunError::NoThreads,
-            3 => RunError::TooManyThreads {
-                threads: usize::decode(r)?,
-                ctxs: usize::decode(r)?,
-            },
-            _ => return None,
-        })
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Ev {
     Resume { thread: u32, seq: u64 },

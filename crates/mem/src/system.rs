@@ -149,32 +149,6 @@ impl std::fmt::Display for CoherenceKind {
     }
 }
 
-impl ltse_sim::cache::FpHash for CoherenceKind {
-    fn fp_feed(&self, h: &mut ltse_sim::cache::FpHasher) {
-        h.write_u64(match self {
-            CoherenceKind::DirectoryMesi => 0,
-            CoherenceKind::SnoopingMesi => 1,
-        });
-    }
-}
-
-impl ltse_sim::cache::CacheValue for CoherenceKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            CoherenceKind::DirectoryMesi => 0,
-            CoherenceKind::SnoopingMesi => 1,
-        });
-    }
-
-    fn decode(r: &mut ltse_sim::cache::ByteReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(CoherenceKind::DirectoryMesi),
-            1 => Some(CoherenceKind::SnoopingMesi),
-            _ => None,
-        }
-    }
-}
-
 /// Memory-system configuration (the paper's Table 1 by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemConfig {

@@ -4,7 +4,6 @@ use crate::{
     BitSelectSignature, BloomSignature, CoarseBitSelectSignature, DoubleBitSelectSignature,
     PerfectSignature, PermutedBitSelectSignature, Signature,
 };
-use ltse_sim::cache::{ByteReader, CacheValue, FpHash, FpHasher};
 
 /// Which signature implementation a system is configured with, and its size.
 ///
@@ -126,96 +125,6 @@ impl SignatureKind {
 impl std::fmt::Display for SignatureKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.label())
-    }
-}
-
-impl FpHash for SignatureKind {
-    fn fp_feed(&self, h: &mut FpHasher) {
-        match *self {
-            SignatureKind::Perfect => h.write_u64(0),
-            SignatureKind::BitSelect { bits } => {
-                h.write_u64(1);
-                h.write_u64(bits as u64);
-            }
-            SignatureKind::CoarseBitSelect {
-                bits,
-                blocks_per_macroblock,
-            } => {
-                h.write_u64(2);
-                h.write_u64(bits as u64);
-                h.write_u64(blocks_per_macroblock);
-            }
-            SignatureKind::DoubleBitSelect { bits } => {
-                h.write_u64(3);
-                h.write_u64(bits as u64);
-            }
-            SignatureKind::Bloom { bits, k } => {
-                h.write_u64(4);
-                h.write_u64(bits as u64);
-                h.write_u64(k as u64);
-            }
-            SignatureKind::PermutedDbs { bits } => {
-                h.write_u64(5);
-                h.write_u64(bits as u64);
-            }
-        }
-    }
-}
-
-impl CacheValue for SignatureKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            SignatureKind::Perfect => out.push(0),
-            SignatureKind::BitSelect { bits } => {
-                out.push(1);
-                bits.encode(out);
-            }
-            SignatureKind::CoarseBitSelect {
-                bits,
-                blocks_per_macroblock,
-            } => {
-                out.push(2);
-                bits.encode(out);
-                blocks_per_macroblock.encode(out);
-            }
-            SignatureKind::DoubleBitSelect { bits } => {
-                out.push(3);
-                bits.encode(out);
-            }
-            SignatureKind::Bloom { bits, k } => {
-                out.push(4);
-                bits.encode(out);
-                k.encode(out);
-            }
-            SignatureKind::PermutedDbs { bits } => {
-                out.push(5);
-                bits.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => SignatureKind::Perfect,
-            1 => SignatureKind::BitSelect {
-                bits: usize::decode(r)?,
-            },
-            2 => SignatureKind::CoarseBitSelect {
-                bits: usize::decode(r)?,
-                blocks_per_macroblock: u64::decode(r)?,
-            },
-            3 => SignatureKind::DoubleBitSelect {
-                bits: usize::decode(r)?,
-            },
-            4 => SignatureKind::Bloom {
-                bits: usize::decode(r)?,
-                k: u32::decode(r)?,
-            },
-            5 => SignatureKind::PermutedDbs {
-                bits: usize::decode(r)?,
-            },
-            _ => return None,
-        })
     }
 }
 

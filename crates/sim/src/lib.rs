@@ -16,10 +16,6 @@
 //! * [`parallel`] — a fixed-size worker pool that fans independent
 //!   simulations out over OS threads with deterministic (submission-order)
 //!   results and per-run panic isolation.
-//! * [`cache`] — a persistent, content-addressed run cache: stable
-//!   fingerprints over run inputs, a hand-rolled binary codec for run
-//!   results, and a size-bounded on-disk store that lets deterministic
-//!   sweeps short-circuit recomputation.
 //! * [`check`] — a dependency-free deterministic randomized-testing
 //!   harness used by the workspace's property tests.
 //! * [`obs`] — the structured observability layer: metric registry,
@@ -53,7 +49,6 @@
 mod event;
 mod time;
 
-pub mod cache;
 pub mod check;
 pub mod config;
 pub mod explore;

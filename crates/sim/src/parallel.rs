@@ -11,9 +11,6 @@
 //! * **Panic-isolated**: each job runs under [`std::panic::catch_unwind`];
 //!   one diverging configuration surfaces as a labelled [`RunError`] in its
 //!   result slot instead of killing the whole sweep.
-//! * **Cache-aware**: a spec can carry a [`Fingerprint`] of its inputs;
-//!   [`run_pool_cached`] then serves validated [`RunCache`] entries instead
-//!   of recomputing, and stores fresh results on a miss.
 //! * **Dependency-free**: a fixed-size pool over [`std::thread::scope`] —
 //!   no external runtime.
 //!
@@ -57,18 +54,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::cache::{CacheCounts, CacheValue, Fingerprint, Lookup, RunCache};
 use crate::stats::Summary;
 
 /// One schedulable unit of work: a label (for error reporting and progress)
-/// plus the closure that performs the run and returns its result. A spec may
-/// additionally carry a content fingerprint of the run's inputs, which lets
-/// [`run_pool_cached`] short-circuit it from a [`RunCache`].
+/// plus the closure that performs the run and returns its result.
 pub struct RunSpec<T> {
     /// Human-readable identity of the run, e.g. `"figure4/Mp3d/BS/seed=2"`.
     pub label: String,
     job: Box<dyn FnOnce() -> T + Send>,
-    cache_key: Option<Fingerprint>,
 }
 
 impl<T> RunSpec<T> {
@@ -77,20 +70,7 @@ impl<T> RunSpec<T> {
         RunSpec {
             label: label.into(),
             job: Box::new(job),
-            cache_key: None,
         }
-    }
-
-    /// Attaches the content fingerprint of this run's inputs, making the
-    /// spec eligible for cache short-circuiting.
-    pub fn keyed(mut self, fp: Fingerprint) -> Self {
-        self.cache_key = Some(fp);
-        self
-    }
-
-    /// The attached fingerprint, if any.
-    pub fn cache_key(&self) -> Option<Fingerprint> {
-        self.cache_key
     }
 }
 
@@ -98,7 +78,6 @@ impl<T> std::fmt::Debug for RunSpec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunSpec")
             .field("label", &self.label)
-            .field("cache_key", &self.cache_key)
             .finish()
     }
 }
@@ -135,8 +114,6 @@ pub struct PoolOutput<T> {
     pub jobs: usize,
     /// Per-run wall-clock times in nanoseconds, merged across workers.
     pub per_run_nanos: Summary,
-    /// Cache traffic (all-zero when the pool ran without a cache).
-    pub cache: CacheCounts,
 }
 
 impl<T> PoolOutput<T> {
@@ -536,63 +513,9 @@ where
     batch_scope(jobs, |i, _: &()| f(i), |pool| pool.run_batch(vec![(); n]))
 }
 
-/// Monomorphized codec hooks, so the uncached [`run_pool`] needs no
-/// [`CacheValue`] bound on `T`.
-struct CacheAdapter<T> {
-    encode: fn(&T) -> Vec<u8>,
-    decode: fn(&[u8]) -> Option<T>,
-}
-
-fn encode_erased<T: CacheValue>(v: &T) -> Vec<u8> {
-    v.to_cache_bytes()
-}
-
-fn decode_erased<T: CacheValue>(bytes: &[u8]) -> Option<T> {
-    T::from_cache_bytes(bytes)
-}
-
 /// Executes `specs` on `jobs` workers and returns their results in
-/// submission order. Equivalent to [`run_pool_cached`] with no cache.
+/// submission order.
 pub fn run_pool<T: Send>(specs: Vec<RunSpec<T>>, jobs: usize) -> PoolOutput<T> {
-    run_pool_inner(specs, jobs, None)
-}
-
-/// Executes `specs` on `jobs` workers with an optional [`RunCache`].
-///
-/// A spec that carries a fingerprint ([`RunSpec::keyed`]) is first probed in
-/// the cache: a validated entry that decodes cleanly is returned without
-/// running the job (a **hit**); a missing entry runs and is stored (a
-/// **miss**); a corrupt, truncated, or undecodable entry runs, is
-/// overwritten, and is counted **stale**. Unkeyed specs and panicking jobs
-/// never touch the cache. Because results are deterministic functions of
-/// the fingerprinted inputs, a hit is byte-for-byte the value the run would
-/// have produced — submission-order output is identical with the cache hot,
-/// cold, or absent.
-pub fn run_pool_cached<T: Send + CacheValue>(
-    specs: Vec<RunSpec<T>>,
-    jobs: usize,
-    cache: Option<&RunCache>,
-) -> PoolOutput<T> {
-    run_pool_inner(
-        specs,
-        jobs,
-        cache.map(|c| {
-            (
-                c,
-                CacheAdapter {
-                    encode: encode_erased::<T>,
-                    decode: decode_erased::<T>,
-                },
-            )
-        }),
-    )
-}
-
-fn run_pool_inner<T: Send>(
-    specs: Vec<RunSpec<T>>,
-    jobs: usize,
-    cache: Option<(&RunCache, CacheAdapter<T>)>,
-) -> PoolOutput<T> {
     let n = specs.len();
     let jobs = jobs.max(1).min(n.max(1));
     let started = Instant::now();
@@ -603,50 +526,24 @@ fn run_pool_inner<T: Send>(
         specs.into_iter().map(|s| Mutex::new(Some(s))).collect();
 
     let outcomes = par_map_indexed(n, jobs, |index| {
-        let spec = slots[index]
+        let RunSpec { label, job } = slots[index]
             .lock()
             .expect("slot lock")
             .take()
             .expect("each slot claimed exactly once");
-        let RunSpec { label, job, cache_key } = spec;
         let run_started = Instant::now();
-        let mut counts = CacheCounts::default();
-
-        let keyed = cache.as_ref().zip(cache_key);
-        if let Some(((store, adapter), fp)) = &keyed {
-            match store.load(*fp) {
-                Lookup::Hit(bytes) => match (adapter.decode)(&bytes) {
-                    Some(v) => {
-                        counts.hits += 1;
-                        return (Ok(v), run_started.elapsed().as_nanos() as u64, counts);
-                    }
-                    // Container was intact but the payload no longer decodes
-                    // as T (e.g. a row type changed without a schema bump):
-                    // fall through to recompute.
-                    None => counts.stale += 1,
-                },
-                Lookup::Miss => counts.misses += 1,
-                Lookup::Stale => counts.stale += 1,
-            }
-        }
-
         let result = catch_unwind(AssertUnwindSafe(job)).map_err(|payload| RunError {
             index,
             label,
             message: panic_message(payload),
         });
-        if let (Some(((store, adapter), fp)), Ok(v)) = (&keyed, &result) {
-            store.store(*fp, &(adapter.encode)(v));
-        }
-        (result, run_started.elapsed().as_nanos() as u64, counts)
+        (result, run_started.elapsed().as_nanos() as u64)
     });
 
     let mut per_run_nanos = Summary::new();
-    let mut cache_counts = CacheCounts::default();
     let mut results = Vec::with_capacity(n);
-    for (result, nanos, counts) in outcomes {
+    for (result, nanos) in outcomes {
         per_run_nanos.record(nanos);
-        cache_counts.merge(&counts);
         results.push(result);
     }
 
@@ -655,14 +552,12 @@ fn run_pool_inner<T: Send>(
         wall: started.elapsed(),
         jobs,
         per_run_nanos,
-        cache: cache_counts,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::FpHasher;
 
     fn squares(n: u64) -> Vec<RunSpec<u64>> {
         (0..n)
@@ -722,7 +617,6 @@ mod tests {
         assert!(out.results.is_empty());
         assert_eq!(out.failed(), 0);
         assert_eq!(out.per_run_nanos.count(), 0);
-        assert_eq!(out.cache.total(), 0);
     }
 
     #[test]
@@ -866,66 +760,5 @@ mod tests {
                 assert_eq!(pool.run_batch(vec![5, 6, 7]), vec![5, 6, 7]);
             },
         );
-    }
-
-    fn cache_in_tmp(tag: &str) -> (RunCache, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join(format!(
-            "ltse-pool-cache-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        (RunCache::open(&dir).expect("open cache"), dir)
-    }
-
-    fn keyed_squares(n: u64) -> Vec<RunSpec<u64>> {
-        (0..n)
-            .map(|i| {
-                RunSpec::new(format!("sq/{i}"), move || i * i)
-                    .keyed(FpHasher::new("pool-test").feed(&i).finish())
-            })
-            .collect()
-    }
-
-    #[test]
-    fn cached_pool_hits_on_second_run() {
-        let (cache, dir) = cache_in_tmp("hits");
-        let cold = run_pool_cached(keyed_squares(10), 4, Some(&cache));
-        assert_eq!(cold.cache, CacheCounts { hits: 0, misses: 10, stale: 0 });
-
-        let warm = run_pool_cached(keyed_squares(10), 4, Some(&cache));
-        assert_eq!(warm.cache, CacheCounts { hits: 10, misses: 0, stale: 0 });
-        let (a, b): (Vec<u64>, Vec<u64>) = (
-            cold.results.into_iter().map(|r| r.unwrap()).collect(),
-            warm.results.into_iter().map(|r| r.unwrap()).collect(),
-        );
-        assert_eq!(a, b, "hits must reproduce the computed results exactly");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unkeyed_specs_bypass_the_cache() {
-        let (cache, dir) = cache_in_tmp("unkeyed");
-        for _ in 0..2 {
-            let out = run_pool_cached(squares(4), 2, Some(&cache));
-            assert_eq!(out.cache.total(), 0, "no fingerprints, no cache traffic");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn panicking_runs_are_not_cached() {
-        let (cache, dir) = cache_in_tmp("panic");
-        let fp = FpHasher::new("pool-test").feed(&99u64).finish();
-        let boom = || {
-            vec![RunSpec::new("boom", || -> u64 { panic!("diverged") }).keyed(fp)]
-        };
-        let first = run_pool_cached(boom(), 1, Some(&cache));
-        assert_eq!(first.failed(), 1);
-        // Second run must miss (nothing was stored) and fail again.
-        let second = run_pool_cached(boom(), 1, Some(&cache));
-        assert_eq!(second.cache, CacheCounts { hits: 0, misses: 1, stale: 0 });
-        assert_eq!(second.failed(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,9 +21,8 @@
 //!
 //! Adaptive selection is a pure function of the requester's history and
 //! invested work — it consumes **no** RNG draws, so explore-mode schedules
-//! and the run cache see identical randomness under every policy.
+//! see identical randomness under every policy.
 
-use ltse_sim::cache::{ByteReader, CacheValue, FpHash, FpHasher};
 use ltse_sim::rng::Xoshiro256StarStar;
 use ltse_sim::Cycle;
 
@@ -61,35 +60,6 @@ impl BackoffKind {
             BackoffKind::RandExp => "randexp",
             BackoffKind::Linear => "linear",
             BackoffKind::Constant => "constant",
-        }
-    }
-}
-
-impl FpHash for BackoffKind {
-    fn fp_feed(&self, h: &mut FpHasher) {
-        h.write_u64(match self {
-            BackoffKind::RandExp => 0,
-            BackoffKind::Linear => 1,
-            BackoffKind::Constant => 2,
-        });
-    }
-}
-
-impl CacheValue for BackoffKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            BackoffKind::RandExp => 0,
-            BackoffKind::Linear => 1,
-            BackoffKind::Constant => 2,
-        });
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(BackoffKind::RandExp),
-            1 => Some(BackoffKind::Linear),
-            2 => Some(BackoffKind::Constant),
-            _ => None,
         }
     }
 }

@@ -117,18 +117,6 @@ impl ContentionPolicy {
             ContentionPolicy::Adaptive => "adaptive",
         }
     }
-
-    /// The stable wire/fingerprint discriminant. One definition backs both
-    /// `FpHash` and `CacheValue`, so the two encodings cannot drift apart.
-    fn discriminant(&self) -> u8 {
-        match self {
-            ContentionPolicy::RequesterStalls => 0,
-            ContentionPolicy::RequesterAborts => 1,
-            ContentionPolicy::SizeMatters => 2,
-            ContentionPolicy::Karma => 3,
-            ContentionPolicy::Adaptive => 4,
-        }
-    }
 }
 
 impl std::str::FromStr for ContentionPolicy {
@@ -139,23 +127,6 @@ impl std::str::FromStr for ContentionPolicy {
             .into_iter()
             .find(|p| p.name() == s)
             .ok_or_else(|| format!("unknown contention policy '{s}'"))
-    }
-}
-
-impl ltse_sim::cache::FpHash for ContentionPolicy {
-    fn fp_feed(&self, h: &mut ltse_sim::cache::FpHasher) {
-        h.write_u64(self.discriminant() as u64);
-    }
-}
-
-impl ltse_sim::cache::CacheValue for ContentionPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.discriminant());
-    }
-
-    fn decode(r: &mut ltse_sim::cache::ByteReader<'_>) -> Option<Self> {
-        let d = r.u8()?;
-        ContentionPolicy::ALL.into_iter().find(|p| p.discriminant() == d)
     }
 }
 
@@ -387,9 +358,9 @@ mod tests {
     }
 
     /// Counts `ContentionPolicy` variants through an exhaustive match —
-    /// adding a variant without extending `ALL` (and therefore the
-    /// fingerprint/codec round-trip below) is a compile error here, the
-    /// same reflection trick `TmStats::merge`'s test uses.
+    /// adding a variant without extending `ALL` (and therefore the name
+    /// round-trip below) is a compile error here, the same reflection trick
+    /// `TmStats::merge`'s test uses.
     #[test]
     fn policy_all_is_exhaustive() {
         fn ordinal(p: ContentionPolicy) -> usize {
@@ -404,43 +375,8 @@ mod tests {
         assert_eq!(ContentionPolicy::ALL.len(), 5);
         for (i, p) in ContentionPolicy::ALL.into_iter().enumerate() {
             assert_eq!(ordinal(p), i, "ALL must list every variant once, in order");
-        }
-    }
-
-    #[test]
-    fn policy_fingerprints_never_alias() {
-        use ltse_sim::cache::{FpHash, FpHasher};
-        let mut fps = Vec::new();
-        for p in ContentionPolicy::ALL {
-            let mut h = FpHasher::new("policy-alias-test");
-            p.fp_feed(&mut h);
-            fps.push(h.finish());
-        }
-        for i in 0..fps.len() {
-            for j in 0..i {
-                assert_ne!(
-                    fps[i], fps[j],
-                    "{:?} and {:?} alias the same cache fingerprint",
-                    ContentionPolicy::ALL[i],
-                    ContentionPolicy::ALL[j]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn policy_codec_round_trips_every_variant() {
-        use ltse_sim::cache::{ByteReader, CacheValue};
-        for p in ContentionPolicy::ALL {
-            let mut buf = Vec::new();
-            p.encode(&mut buf);
-            let mut r = ByteReader::new(&buf);
-            assert_eq!(ContentionPolicy::decode(&mut r), Some(p));
             assert_eq!(p.name().parse::<ContentionPolicy>(), Ok(p));
         }
-        // Unknown discriminants must decode to None, not a wrong variant.
-        let mut r = ByteReader::new(&[200u8]);
-        assert_eq!(ContentionPolicy::decode(&mut r), None);
         assert!("bogus".parse::<ContentionPolicy>().is_err());
     }
 }

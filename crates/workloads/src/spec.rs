@@ -115,93 +115,6 @@ impl std::fmt::Display for Benchmark {
     }
 }
 
-impl Benchmark {
-    fn tag(&self) -> u8 {
-        match self {
-            Benchmark::BerkeleyDb => 0,
-            Benchmark::Cholesky => 1,
-            Benchmark::Radiosity => 2,
-            Benchmark::Raytrace => 3,
-            Benchmark::Mp3d => 4,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => Benchmark::BerkeleyDb,
-            1 => Benchmark::Cholesky,
-            2 => Benchmark::Radiosity,
-            3 => Benchmark::Raytrace,
-            4 => Benchmark::Mp3d,
-            _ => return None,
-        })
-    }
-}
-
-impl ltse_sim::cache::FpHash for Benchmark {
-    fn fp_feed(&self, h: &mut ltse_sim::cache::FpHasher) {
-        h.write_u64(self.tag() as u64);
-    }
-}
-
-impl ltse_sim::cache::CacheValue for Benchmark {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.tag());
-    }
-
-    fn decode(r: &mut ltse_sim::cache::ByteReader<'_>) -> Option<Self> {
-        Benchmark::from_tag(r.u8()?)
-    }
-}
-
-impl ltse_sim::cache::FpHash for SyncMode {
-    fn fp_feed(&self, h: &mut ltse_sim::cache::FpHasher) {
-        h.write_u64(match self {
-            SyncMode::Tm => 0,
-            SyncMode::Lock => 1,
-            SyncMode::TicketLock => 2,
-        });
-    }
-}
-
-impl ltse_sim::cache::CacheValue for SyncMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            SyncMode::Tm => 0,
-            SyncMode::Lock => 1,
-            SyncMode::TicketLock => 2,
-        });
-    }
-
-    fn decode(r: &mut ltse_sim::cache::ByteReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(SyncMode::Tm),
-            1 => Some(SyncMode::Lock),
-            2 => Some(SyncMode::TicketLock),
-            _ => None,
-        }
-    }
-}
-
-/// Every field participates: a run's result is a pure function of its
-/// [`RunParams`], so any change to any field must change the fingerprint
-/// and force a recompute.
-impl ltse_sim::cache::FpHash for RunParams {
-    fn fp_feed(&self, h: &mut ltse_sim::cache::FpHasher) {
-        self.benchmark.fp_feed(h);
-        self.mode.fp_feed(h);
-        self.signature.fp_feed(h);
-        h.write_u64(self.threads as u64);
-        h.write_u64(self.units_per_thread);
-        h.write_u64(self.seed);
-        h.write_u64(self.small_machine as u64);
-        h.write_u64(self.sticky as u64);
-        h.write_u64(self.log_filter_entries as u64);
-        self.coherence.fp_feed(h);
-        h.write_u64(self.warmup_units);
-    }
-}
-
 /// Parameters for one benchmark run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunParams {

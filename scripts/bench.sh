@@ -4,8 +4,8 @@
 #
 #   BENCH_hotpath.json   — data-structure micro-benchmarks (signatures,
 #                          event queue, end-to-end counter)
-#   BENCH_pipeline.json  — pipeline-level benchmarks (run cache cold vs
-#                          warm, sequential vs parallel exploration)
+#   BENCH_pipeline.json  — pipeline-level benchmark (sequential vs parallel
+#                          schedule exploration)
 #   BENCH_obs.json       — observability-layer overhead (obs-off vs obs-on
 #                          end to end, plus metric/span primitive costs)
 #   BENCH_stm.json       — sim-vs-STM wall-clock comparison on Table-2
