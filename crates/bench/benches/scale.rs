@@ -14,7 +14,9 @@
 //! core count because bigger systems dispatch more events, so per-event
 //! cost is the number that exposes super-linear hot paths (O(cores) scans,
 //! allocation storms). The `speedups` map reports the 64-core baseline
-//! divided by each larger config — ≈1.0 means flat per-event cost.
+//! divided by each larger config — ≈1.0 means flat per-event cost — plus
+//! `queue_calendar_vs_heap`: the calendar event queue against a plain
+//! `BinaryHeap` on the same synthetic churn.
 //!
 //! Output matches the other bench targets: human lines on stderr, one JSON
 //! document on stdout or to `LTSE_BENCH_JSON` (what `scripts/bench.sh`
@@ -23,6 +25,8 @@
 //! Environment: `LTSE_BENCH_QUICK=1` (tiny workloads, 2 iters),
 //! `LTSE_BENCH_ITERS=N`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -107,17 +111,22 @@ fn quick() -> bool {
     std::env::var("LTSE_BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
-/// Synthetic calendar-queue churn isolating the two-level occupancy bitmap:
-/// ~64 events in flight over a 4096-bucket window (the 256-context shape),
-/// mostly short hops plus occasional long jumps, so the scan-for-next-bucket
-/// path dominates exactly as it does in sparse simulation phases.
-fn queue_churn(banked: bool, ops: u64) -> u64 {
-    let n_buckets = 4096;
-    let mut q: EventQueue<u64> = if banked {
-        EventQueue::with_buckets(n_buckets)
-    } else {
-        EventQueue::with_buckets_unbanked(n_buckets)
-    };
+/// The next re-push delay of the synthetic event-queue churn, in the
+/// 256-context shape: ~64 events in flight, one re-push per pop, mostly
+/// 1–64-cycle hops and 1 in 97 up to 60k cycles ahead. Both queue
+/// implementations draw the same xorshift sequence, so they do identical
+/// work.
+fn next_delay(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    if *x % 97 == 0 { 1 + *x % 60_000 } else { 1 + *x % 64 }
+}
+
+/// The churn on the calendar `EventQueue` at the 4096-bucket width
+/// 256-context systems use.
+fn queue_churn_calendar(ops: u64) -> u64 {
+    let mut q: EventQueue<u64> = EventQueue::with_buckets(4096);
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut acc = 0u64;
     for i in 0..64 {
@@ -126,11 +135,27 @@ fn queue_churn(banked: bool, ops: u64) -> u64 {
     for _ in 0..ops {
         let (t, v) = q.pop().expect("queue never drains");
         acc = acc.wrapping_add(t.as_u64() ^ v);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let delay = if x % 97 == 0 { 1 + x % 60_000 } else { 1 + x % 64 };
-        q.push_after(Cycle(delay), v);
+        q.push_after(Cycle(next_delay(&mut x)), v);
+    }
+    acc
+}
+
+/// The same churn on a plain `BinaryHeap` keyed by `(time, seq)`: the
+/// reference the calendar queue must beat.
+fn queue_churn_heap(ops: u64) -> u64 {
+    let mut q: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut acc = 0u64;
+    let mut seq = 0u64;
+    for i in 0..64 {
+        q.push(Reverse((i % 7 + 1, seq, i)));
+        seq += 1;
+    }
+    for _ in 0..ops {
+        let Reverse((t, _, v)) = q.pop().expect("queue never drains");
+        acc = acc.wrapping_add(t ^ v);
+        q.push(Reverse((t + next_delay(&mut x), seq, v)));
+        seq += 1;
     }
     acc
 }
@@ -192,22 +217,23 @@ fn main() {
         run_once(256, true)
     });
 
-    // ---- banked vs unbanked queue ---------------------------------------
-    // Same churn, only the occupancy-scan strategy differs; the ratio lands
-    // in `speedups.queue_banked_vs_unbanked` (>1 = banking pays off).
+    // ---- calendar queue vs heap reference --------------------------------
+    // Same churn, same pop order; the ratio lands in
+    // `speedups.queue_calendar_vs_heap` (>1 = the calendar queue wins).
     let qops: u64 = if quick { 200_000 } else { 2_000_000 };
-    time_case(&mut out, "queue", "banked", iters, || queue_churn(true, qops));
-    time_case(&mut out, "queue", "unbanked", iters, || {
-        queue_churn(false, qops)
-    });
+    assert_eq!(
+        queue_churn_calendar(qops),
+        queue_churn_heap(qops),
+        "calendar and heap churn must pop identically"
+    );
+    time_case(&mut out, "queue", "calendar", iters, || queue_churn_calendar(qops));
+    time_case(&mut out, "queue", "heap_ref", iters, || queue_churn_heap(qops));
     let queue_ratio = {
-        let b = out.iter().find(|c| c.group == "queue" && c.name == "banked");
-        let u = out
-            .iter()
-            .find(|c| c.group == "queue" && c.name == "unbanked");
-        b.zip(u)
-            .filter(|(b, _)| b.best_ms > 0.0)
-            .map(|(b, u)| u.best_ms / b.best_ms)
+        let c = out.iter().find(|c| c.group == "queue" && c.name == "calendar");
+        let h = out.iter().find(|c| c.group == "queue" && c.name == "heap_ref");
+        c.zip(h)
+            .filter(|(c, _)| c.best_ms > 0.0)
+            .map(|(c, h)| h.best_ms / c.best_ms)
     };
 
     // ---- per-event scaling ----------------------------------------------
@@ -229,7 +255,7 @@ fn main() {
             "per_event_64_vs_256",
             base.zip(ns_per_event("cores_256", 256)).map(|(b, o)| b / o),
         ),
-        ("queue_banked_vs_unbanked", queue_ratio),
+        ("queue_calendar_vs_heap", queue_ratio),
     ];
     for (pname, s) in pairs {
         if let Some(s) = s {

@@ -30,12 +30,14 @@
 //!
 //! `--quick` runs at reduced scale (for smoke tests); `--csv` emits
 //! machine-readable CSV for `table2`, `figure4`, and `table3`. Any other
-//! `--flag`, a flag missing its value, or `--jobs 0` is a usage error
+//! `--flag`, a flag missing its value, or a worker count that is not a
+//! positive integer (`--jobs 0`, `LTSE_JOBS=abc`) is a usage error
 //! (exit 2).
 //!
 //! Every experiment fans its independent simulation runs out over a worker
-//! pool. `--jobs N` (or the `LTSE_JOBS` environment variable) sets the
-//! worker count; the default is one worker per available core. Results are
+//! pool. `--jobs N` (or the `LTSE_JOBS` environment variable, which
+//! `--jobs` overrides) sets the worker count; the default is one worker per
+//! available core. Results are
 //! collected in submission order, so **stdout is byte-identical regardless
 //! of worker count**. Wall-clock/throughput lines (inherently
 //! nondeterministic) go to stderr; a run that panics or errors is reported
@@ -183,13 +185,7 @@ fn parse_args(args: &[String]) -> Cli {
                         .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")))
                 };
                 match flag {
-                    "--jobs" => {
-                        let v = value();
-                        let n = v.parse().ok().filter(|&n: &usize| n > 0).unwrap_or_else(|| {
-                            usage_error(&format!("--jobs requires a positive integer, got `{v}`"))
-                        });
-                        cli.jobs = Some(n);
-                    }
+                    "--jobs" => cli.jobs = Some(parse_jobs("--jobs", &value())),
                     "--stats-json" => cli.stats_json = Some(value()),
                     "--backend" => {
                         cli.backend = value()
@@ -206,7 +202,24 @@ fn parse_args(args: &[String]) -> Cli {
     if cli.cmd.is_empty() {
         cli.cmd = "all".to_string();
     }
+    // `--jobs` overrides the environment; a malformed `LTSE_JOBS` is the
+    // same usage error as a malformed `--jobs`, not a silent default.
+    if cli.jobs.is_none() {
+        if let Some(v) = std::env::var_os("LTSE_JOBS") {
+            cli.jobs = Some(parse_jobs("LTSE_JOBS", &v.to_string_lossy()));
+        }
+    }
     cli
+}
+
+/// A worker count from `source` (`--jobs` or `LTSE_JOBS`): a positive
+/// integer, or a usage error.
+fn parse_jobs(source: &str, v: &str) -> usize {
+    v.trim()
+        .parse()
+        .ok()
+        .filter(|&n: &usize| n > 0)
+        .unwrap_or_else(|| usage_error(&format!("{source} requires a positive integer, got `{v}`")))
 }
 
 fn main() {

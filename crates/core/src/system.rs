@@ -156,7 +156,7 @@ impl System {
             queue: EventQueue::with_buckets(
                 (b.mem.n_ctxs() as usize * 8)
                     .next_power_of_two()
-                    .clamp(ltse_sim::DEFAULT_BUCKETS, 4096),
+                    .clamp(ltse_sim::DEFAULT_BUCKETS, ltse_sim::MAX_BUCKETS),
             ),
             run_queue: VecDeque::new(),
             page_tables: HashMap::new(),
@@ -1051,6 +1051,9 @@ impl System {
     /// transactions must conservatively abort, like cache-resident HTMs on
     /// overflow.
     fn drain_overflow_events(&mut self) {
+        if !self.mem.has_overflow_events() {
+            return;
+        }
         for ev in self.mem.take_overflow_events() {
             for ctx in 0..self.tm.n_ctxs() {
                 if self.tm.core_of(ctx) != ev.core {

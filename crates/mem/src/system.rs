@@ -423,6 +423,12 @@ impl MemorySystem {
         self.store.update(addr, f)
     }
 
+    /// Whether any overflow events are waiting to be drained.
+    #[inline]
+    pub fn has_overflow_events(&self) -> bool {
+        !self.overflow_events.is_empty()
+    }
+
     /// Drains overflow events produced while sticky states are disabled.
     pub fn take_overflow_events(&mut self) -> Vec<OverflowEvent> {
         std::mem::take(&mut self.overflow_events)

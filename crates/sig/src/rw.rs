@@ -93,16 +93,12 @@ impl ReadWriteSignature {
     }
 
     /// `CONFLICT(op, a)`: does an incoming access of kind `op` to address `a`
-    /// conflict with this context's sets? For an incoming write both sets are
-    /// consulted, but the address is hashed only once ([`SigRepr::probe`]).
+    /// conflict with this context's sets? An incoming write consults both.
     #[inline]
     pub fn conflicts_with(&self, op: SigOp, a: u64) -> bool {
         match op {
             SigOp::Read => self.write.test_block(a),
-            SigOp::Write => {
-                let p = self.read.probe(a);
-                self.read.test_probe(&p) || self.write.test_probe(&p)
-            }
+            SigOp::Write => self.in_either_set(a),
         }
     }
 
@@ -120,12 +116,12 @@ impl ReadWriteSignature {
     }
 
     /// Whether `a` may be in either set (used to decide if an evicted block
-    /// is "transactional" and needs a sticky directory state). Hashes `a`
-    /// once and tests both filters.
+    /// is "transactional" and needs a sticky directory state). For two
+    /// filters, hashing `a` per filter is cheaper than building a
+    /// [`crate::SigProbe`].
     #[inline]
     pub fn in_either_set(&self, a: u64) -> bool {
-        let p = self.read.probe(a);
-        self.read.test_probe(&p) || self.write.test_probe(&p)
+        self.read.test_block(a) || self.write.test_block(a)
     }
 
     /// `CLEAR` on both sets — the core of LogTM-SE's local commit.

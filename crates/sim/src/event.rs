@@ -59,13 +59,17 @@ impl<E> Ord for Entry<E> {
 /// widen the window via [`EventQueue::with_buckets`].
 pub const DEFAULT_BUCKETS: usize = 256;
 
+/// Widest calendar window: 64 occupancy words, so one summary word covers
+/// them all.
+pub const MAX_BUCKETS: usize = 64 * 64;
+
 /// Sentinel index terminating intrusive node lists (and the freelist).
 const NIL: u32 = u32::MAX;
 
 /// An arena slot: one pending event threaded into its bucket's singly
-/// linked list (or parked on the freelist, `payload == None`).
+/// linked list (or parked on the freelist, `payload == None`). Its time is
+/// implied by the bucket it sits in.
 struct Node<E> {
-    time: Cycle,
     seq: u64,
     /// Next node in this bucket's seq-ordered list, or next free slot.
     next: u32,
@@ -73,6 +77,16 @@ struct Node<E> {
     /// freelist without moving the node.
     payload: Option<E>,
 }
+
+/// One calendar slot: the ends of a seq-sorted intrusive node list, both
+/// [`NIL`] while the slot is empty.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Bucket = Bucket { head: NIL, tail: NIL };
 
 /// A priority queue of timestamped events with deterministic ordering.
 ///
@@ -84,28 +98,26 @@ struct Node<E> {
 /// # Implementation
 ///
 /// A bucketed calendar queue fronts a binary heap. Buckets cover the sliding
-/// window `[window_start, window_start + 256)` at one-cycle granularity, so
+/// window `[window_start, window_start + n)` at one-cycle granularity, so
 /// the hot path (small scheduling deltas) is an append to a ring slot and a
-/// bitmap scan — no sift. Events outside the window land in the heap and are
+/// bitmap test — no sift. Events outside the window land in the heap and are
 /// migrated into buckets as the window advances; each event migrates at most
 /// once. The observable order is **exactly** the `(time, seq)` order the
 /// plain heap produced, including [`EventQueue::pop_explored`] semantics —
 /// the differential tests below pin this down.
 ///
-/// Storage is a node **arena with a freelist**: each bucket is a 4-byte head
-/// index into one shared slab of intrusive singly linked nodes, so pushing
-/// and popping never allocates after warm-up and the bucket header array
+/// Storage is a node **arena with a freelist**: each bucket holds 4-byte
+/// head/tail indices into one shared slab of intrusive singly linked nodes,
+/// so pushing and popping never allocates after warm-up and the bucket array
 /// stays small enough to sit in cache even at the 4096-bucket windows
-/// 256-context systems use (a `VecDeque` per bucket cost 32 bytes of header
-/// per slot plus a separate heap block each — the dominant per-event cost at
-/// scale before this layout).
+/// 256-context systems use.
 ///
-/// The occupancy bitmap is **banked**: buckets are grouped into 64-slot
-/// banks (one occupancy word each) and a second-level bank summary marks
-/// which banks are non-empty, so the next-event scan jumps straight to the
-/// first occupied bank instead of walking empty occupancy words. Banking is
-/// a pure scan-path optimization — [`EventQueue::with_buckets_unbanked`]
-/// keeps the linear scan for A/B benchmarking and must pop identically.
+/// Occupancy is one bit per bucket in at most 64 words, plus **one summary
+/// word** with bit `w` set iff word `w` is non-empty. Finding the next event
+/// is a masked test of the window-start word; if that is empty, one rotate
+/// of the summary word and two `trailing_zeros` land on the next occupied
+/// bucket in ring order — no loop, no wraparound rescan. One summary word
+/// caps the window at [`MAX_BUCKETS`] (4096) buckets.
 ///
 /// # Example
 ///
@@ -122,29 +134,22 @@ struct Node<E> {
 /// assert_eq!(q.pop(), Some((Cycle(2), Ev::Tock)));
 /// ```
 pub struct EventQueue<E> {
-    /// Ring of one-cycle buckets; slot `t & mask` holds the head of a
-    /// seq-sorted intrusive list of entries for time `t` while `t` lies
-    /// inside the window (plain pushes append — their seq is the largest so
-    /// far; exploration re-pushes walk to their slot).
-    heads: Vec<u32>,
-    /// Per-bucket list tails, for O(1) appends. Only meaningful while the
-    /// bucket is non-empty.
-    tails: Vec<u32>,
+    /// Ring of one-cycle buckets; slot `t & mask` holds the seq-sorted list
+    /// of entries for time `t` while `t` lies inside the window (plain
+    /// pushes append — their seq is the largest so far; exploration
+    /// re-pushes walk to their slot).
+    buckets: Vec<Bucket>,
     /// Node arena backing every bucket list; freed slots chain through
     /// [`Node::next`] from `free`.
     nodes: Vec<Node<E>>,
     /// Freelist head into `nodes`, or [`NIL`].
     free: u32,
-    /// `heads.len() - 1`; the length is a power of two.
+    /// `buckets.len() - 1`; the length is a power of two.
     mask: u64,
-    /// Occupancy bitmap over buckets, for O(words) next-event scans.
+    /// Occupancy bitmap over buckets, one bit each.
     occ: Vec<u64>,
-    /// Bank summary over `occ`: bit `w` set iff `occ[w] != 0`. Lets the
-    /// scan skip empty 64-bucket banks in one `trailing_zeros`.
-    bank_occ: Vec<u64>,
-    /// Whether the scan consults `bank_occ` (see
-    /// [`EventQueue::with_buckets_unbanked`]).
-    banked: bool,
+    /// Bit `w` set iff `occ[w] != 0`.
+    summary: u64,
     /// Total entries across all buckets.
     bucket_len: usize,
     /// Start of the bucket window. Only ever advances, and only to the
@@ -178,35 +183,20 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics unless `n` is a power of two and at least 64 (one occupancy
-    /// word).
+    /// Panics unless `n` is a power of two in `64..=`[`MAX_BUCKETS`] (at
+    /// least one occupancy word, at most one summary word's worth).
     pub fn with_buckets(n: usize) -> Self {
-        Self::build(n, true)
-    }
-
-    /// Like [`EventQueue::with_buckets`] but with the bank-summary scan
-    /// disabled: next-event scans walk occupancy words linearly. Pop order is
-    /// identical; this exists purely as the measurement baseline for the
-    /// banked/unbanked A/B in the scale benchmark.
-    pub fn with_buckets_unbanked(n: usize) -> Self {
-        Self::build(n, false)
-    }
-
-    fn build(n: usize, banked: bool) -> Self {
         assert!(
-            n.is_power_of_two() && n >= 64,
-            "bucket count must be a power of two >= 64, got {n}"
+            n.is_power_of_two() && (64..=MAX_BUCKETS).contains(&n),
+            "bucket count must be a power of two >= 64 and <= {MAX_BUCKETS}, got {n}"
         );
-        let occ_words = n / 64;
         EventQueue {
-            heads: vec![NIL; n],
-            tails: vec![NIL; n],
+            buckets: vec![EMPTY; n],
             nodes: Vec::new(),
             free: NIL,
             mask: n as u64 - 1,
-            occ: vec![0; occ_words],
-            bank_occ: vec![0; occ_words.div_ceil(64)],
-            banked,
+            occ: vec![0; n / 64],
+            summary: 0,
             bucket_len: 0,
             window_start: Cycle::ZERO,
             heap: BinaryHeap::new(),
@@ -217,7 +207,7 @@ impl<E> EventQueue<E> {
 
     /// Number of calendar buckets (the window width in cycles).
     pub fn n_buckets(&self) -> usize {
-        self.heads.len()
+        self.buckets.len()
     }
 
     /// Grabs an arena slot for `e` (reusing the freelist when possible) and
@@ -225,7 +215,6 @@ impl<E> EventQueue<E> {
     #[inline]
     fn alloc_node(&mut self, e: Entry<E>) -> u32 {
         let node = Node {
-            time: e.time,
             seq: e.seq,
             next: NIL,
             payload: Some(e.payload),
@@ -241,25 +230,6 @@ impl<E> EventQueue<E> {
             assert!(idx != NIL, "event arena exhausted");
             self.nodes.push(node);
             idx
-        }
-    }
-
-    /// Marks bucket `idx` occupied in both bitmap levels.
-    #[inline]
-    fn set_occ(&mut self, idx: usize) {
-        let w = idx / 64;
-        self.occ[w] |= 1u64 << (idx % 64);
-        self.bank_occ[w / 64] |= 1u64 << (w % 64);
-    }
-
-    /// Clears bucket `idx` from the occupancy bitmap, dropping the bank
-    /// summary bit when its whole bank empties.
-    #[inline]
-    fn clear_occ(&mut self, idx: usize) {
-        let w = idx / 64;
-        self.occ[w] &= !(1u64 << (idx % 64));
-        if self.occ[w] == 0 {
-            self.bank_occ[w / 64] &= !(1u64 << (w % 64));
         }
     }
 
@@ -293,10 +263,9 @@ impl<E> EventQueue<E> {
 
     /// Routes an entry (with an already-assigned seq) to a bucket or the
     /// heap by its timestamp.
+    #[inline]
     fn push_entry(&mut self, e: Entry<E>) {
-        if e.time >= self.window_start
-            && e.time.0 - self.window_start.0 < self.heads.len() as u64
-        {
+        if e.time >= self.window_start && e.time.0 - self.window_start.0 <= self.mask {
             self.bucket_insert(e);
         } else {
             self.heap.push(e);
@@ -305,153 +274,101 @@ impl<E> EventQueue<E> {
 
     /// Inserts into the bucket ring, keeping the slot's seq order. The fast
     /// path is a plain append: ordinary pushes always carry the largest seq.
+    #[inline]
     fn bucket_insert(&mut self, e: Entry<E>) {
         let idx = (e.time.0 & self.mask) as usize;
-        let time = e.time;
         let seq = e.seq;
         let node = self.alloc_node(e);
-        let tail = self.tails[idx];
-        if tail == NIL {
-            self.heads[idx] = node;
-            self.tails[idx] = node;
-            self.set_occ(idx);
-        } else if self.nodes[tail as usize].seq < seq {
+        let b = self.buckets[idx];
+        if b.tail == NIL {
+            self.buckets[idx] = Bucket {
+                head: node,
+                tail: node,
+            };
+            self.occ[idx / 64] |= 1 << (idx % 64);
+            self.summary |= 1 << (idx / 64);
+        } else if self.nodes[b.tail as usize].seq < seq {
             // Fast path: ordinary pushes carry the largest seq so far.
-            debug_assert_eq!(self.nodes[tail as usize].time, time);
-            self.nodes[tail as usize].next = node;
-            self.tails[idx] = node;
+            self.nodes[b.tail as usize].next = node;
+            self.buckets[idx].tail = node;
         } else {
             // Exploration re-push: walk the (short) list to the seq slot.
-            debug_assert_eq!(self.nodes[self.heads[idx] as usize].time, time);
             let mut prev = NIL;
-            let mut cur = self.heads[idx];
+            let mut cur = b.head;
             while cur != NIL && self.nodes[cur as usize].seq < seq {
                 prev = cur;
                 cur = self.nodes[cur as usize].next;
             }
             self.nodes[node as usize].next = cur;
             if prev == NIL {
-                self.heads[idx] = node;
+                self.buckets[idx].head = node;
             } else {
                 self.nodes[prev as usize].next = node;
-            }
-            if cur == NIL {
-                self.tails[idx] = node;
             }
         }
         self.bucket_len += 1;
     }
 
-    /// Removes the front entry of the bucket for time `t`.
-    fn pop_bucket(&mut self, t: Cycle) -> Entry<E> {
-        let idx = (t.0 & self.mask) as usize;
-        let head = self.heads[idx];
+    /// Unlinks and returns the front entry of bucket `idx`, which holds the
+    /// events for time `time`.
+    #[inline]
+    fn pop_bucket(&mut self, idx: usize, time: Cycle) -> Entry<E> {
+        let head = self.buckets[idx].head;
         debug_assert!(head != NIL, "pop from empty bucket");
         let node = &mut self.nodes[head as usize];
         let e = Entry {
-            time: node.time,
+            time,
             seq: node.seq,
             payload: node.payload.take().expect("pending node has a payload"),
         };
         let next = node.next;
         node.next = self.free;
         self.free = head;
-        self.heads[idx] = next;
+        self.buckets[idx].head = next;
         if next == NIL {
-            self.tails[idx] = NIL;
-            self.clear_occ(idx);
+            self.buckets[idx].tail = NIL;
+            let w = idx / 64;
+            self.occ[w] &= !(1 << (idx % 64));
+            if self.occ[w] == 0 {
+                self.summary &= !(1 << w);
+            }
         }
         self.bucket_len -= 1;
         e
     }
 
-    /// Index of the first non-zero occupancy word in `[from, last]`, using
-    /// the bank summary to skip empty banks when enabled.
+    /// The earliest occupied bucket as `(ring index, time)`. Bucketed
+    /// events all lie in `[window_start, window_start + n)`, so ring order
+    /// from the window start's slot is time order.
     #[inline]
-    fn next_occupied_word(&self, from: usize, last: usize) -> Option<usize> {
-        if self.banked {
-            let mut bw = from / 64;
-            let last_bw = last / 64;
-            let mut bank = self.bank_occ[bw] & (!0u64 << (from % 64));
-            loop {
-                while bank != 0 {
-                    let w = bw * 64 + bank.trailing_zeros() as usize;
-                    if w > last {
-                        return None;
-                    }
-                    if w >= from {
-                        return Some(w);
-                    }
-                    bank &= bank - 1;
-                }
-                if bw == last_bw {
-                    return None;
-                }
-                bw += 1;
-                bank = self.bank_occ[bw];
-            }
-        } else {
-            (from..=last).find(|&w| self.occ[w] != 0)
-        }
-    }
-
-    /// First occupied bucket bit in `[lo, hi)`, if any.
-    fn first_occupied_in(&self, lo: usize, hi: usize) -> Option<usize> {
-        if lo >= hi {
-            return None;
-        }
-        let last_w = (hi - 1) / 64;
-        // Partial first word: mask off bits below `lo`.
-        let mut w = lo / 64;
-        let mut masked = self.occ[w] & (!0u64 << (lo % 64));
-        loop {
-            if w == last_w {
-                let top = hi - w * 64;
-                if top < 64 {
-                    masked &= (1u64 << top) - 1;
-                }
-            }
-            if masked != 0 {
-                return Some(w * 64 + masked.trailing_zeros() as usize);
-            }
-            if w == last_w {
-                return None;
-            }
-            w = self.next_occupied_word(w + 1, last_w)?;
-            masked = self.occ[w];
-        }
-    }
-
-    /// The earliest bucketed event as a `(time, seq)` key, scanning the
-    /// occupancy bitmap from the window start (with wraparound).
-    fn next_bucket_key(&self) -> Option<(Cycle, u64)> {
-        if self.bucket_len == 0 {
+    fn next_bucket(&self) -> Option<(usize, Cycle)> {
+        if self.summary == 0 {
             return None;
         }
         let s = (self.window_start.0 & self.mask) as usize;
-        let p = self
-            .first_occupied_in(s, self.heads.len())
-            .or_else(|| self.first_occupied_in(0, s))
-            .expect("bucket_len > 0 but occupancy bitmap empty");
+        let w0 = s / 64;
+        let here = self.occ[w0] & (!0u64 << (s % 64));
+        let p = if here != 0 {
+            w0 * 64 + here.trailing_zeros() as usize
+        } else {
+            // Rotate so word `w0 + 1` sits at bit 0: the words after `w0`
+            // in ring order come first, and `w0` itself (whose bits below
+            // `s` are the far end of the window) comes last.
+            let r = (w0 as u32 + 1) & 63;
+            let w = ((self.summary.rotate_right(r).trailing_zeros() + r) & 63) as usize;
+            w * 64 + self.occ[w].trailing_zeros() as usize
+        };
         let dist = (p.wrapping_sub(s) as u64) & self.mask;
-        let t = Cycle(self.window_start.0 + dist);
-        let front = &self.nodes[self.heads[p] as usize];
-        debug_assert_eq!(front.time, t);
-        Some((t, front.seq))
+        Some((p, Cycle(self.window_start.0 + dist)))
     }
 
     /// Slides the window start forward to `t` (the time of a global-minimum
     /// event) and migrates newly covered heap entries into buckets. The heap
     /// drains in `(time, seq)` order, so per-bucket seq order is preserved.
     fn advance_window(&mut self, t: Cycle) {
-        if t > self.window_start {
-            self.window_start = t;
-        }
-        let horizon = self.window_start.0.saturating_add(self.heads.len() as u64);
-        while let Some(top) = self.heap.peek() {
-            if top.time.0 >= horizon {
-                break;
-            }
+        self.window_start = self.window_start.max(t);
+        let horizon = self.window_start.0.saturating_add(self.buckets.len() as u64);
+        while self.heap.peek().is_some_and(|top| top.time.0 < horizon) {
             let e = self.heap.pop().expect("peeked entry");
             self.bucket_insert(e);
         }
@@ -460,41 +377,39 @@ impl<E> EventQueue<E> {
     /// Removes the globally smallest `(time, seq)` entry without touching
     /// `now` — shared by [`EventQueue::pop`] and
     /// [`EventQueue::pop_explored`].
+    #[inline]
     fn pop_min_entry(&mut self) -> Option<Entry<E>> {
-        let b = self.next_bucket_key();
-        let h = self.heap.peek().map(|e| (e.time, e.seq));
-        match (b, h) {
-            (None, None) => None,
-            (Some((t, _)), None) => {
+        let Some(top) = self.heap.peek() else {
+            // Hot path: nothing far out, so the first bucket holds the
+            // minimum and no migration can be due.
+            let (idx, t) = self.next_bucket()?;
+            self.window_start = t;
+            return Some(self.pop_bucket(idx, t));
+        };
+        let hk = (top.time, top.seq);
+        match self.next_bucket() {
+            // A bucketed event is first. Migrated entries sharing its time
+            // carry larger seqs, so it stays at the front of its bucket.
+            Some((idx, t)) if (t, self.nodes[self.buckets[idx].head as usize].seq) < hk => {
                 self.advance_window(t);
-                Some(self.pop_bucket(t))
+                Some(self.pop_bucket(idx, t))
             }
-            (None, Some((t, _))) => {
-                if t >= self.window_start {
-                    self.advance_window(t);
-                    Some(self.pop_bucket(t))
-                } else {
-                    // Stray behind the window (exploration re-push): the
-                    // heap alone holds it.
-                    Some(self.heap.pop().expect("peeked entry"))
-                }
+            // The heap's top is first and inside or ahead of the window:
+            // migrate it (and everything else now covered), then pop it
+            // from the front of its bucket.
+            _ if hk.0 >= self.window_start => {
+                self.advance_window(hk.0);
+                Some(self.pop_bucket((hk.0 .0 & self.mask) as usize, hk.0))
             }
-            (Some(bk), Some(hk)) => {
-                if bk < hk {
-                    self.advance_window(bk.0);
-                    Some(self.pop_bucket(bk.0))
-                } else if hk.0 >= self.window_start {
-                    self.advance_window(hk.0);
-                    Some(self.pop_bucket(hk.0))
-                } else {
-                    Some(self.heap.pop().expect("peeked entry"))
-                }
-            }
+            // Stray behind the window (exploration re-push): the heap alone
+            // holds it.
+            _ => self.heap.pop(),
         }
     }
 
     /// Removes and returns the earliest event, advancing the queue's notion
     /// of "now" to its timestamp. Returns `None` when the queue is empty.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let entry = self.pop_min_entry()?;
         debug_assert!(entry.time >= self.now);
@@ -551,7 +466,7 @@ impl<E> EventQueue<E> {
     /// Returns the timestamp of the earliest pending event without removing
     /// it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        let b = self.next_bucket_key().map(|(t, _)| t);
+        let b = self.next_bucket().map(|(_, t)| t);
         let h = self.heap.peek().map(|e| e.time);
         match (b, h) {
             (None, t) | (t, None) => t,
@@ -578,13 +493,12 @@ impl<E> EventQueue<E> {
     /// Drops all pending events, keeping the clock where it is.
     pub fn clear(&mut self) {
         if self.bucket_len > 0 {
-            self.heads.fill(NIL);
-            self.tails.fill(NIL);
+            self.buckets.fill(EMPTY);
+            self.occ.fill(0);
+            self.summary = 0;
         }
         self.nodes.clear();
         self.free = NIL;
-        self.occ.fill(0);
-        self.bank_occ.fill(0);
         self.bucket_len = 0;
         self.heap.clear();
     }
@@ -840,13 +754,12 @@ mod tests {
 
     #[test]
     fn bucket_widths_agree_on_pop_order() {
-        // The bucket count (and the bank-summary toggle) is a pure
-        // performance knob: any configuration must produce the identical
+        // The bucket count is a pure performance knob: every width, from one
+        // occupancy word to a full summary word, must produce the identical
         // pop sequence.
-        let mut queues: Vec<EventQueue<u64>> = [64, 256, 1024]
+        let mut queues: Vec<EventQueue<u64>> = [64, 128, 256, 1024, 2048, MAX_BUCKETS]
             .into_iter()
             .map(EventQueue::with_buckets)
-            .chain([64, 1024].into_iter().map(EventQueue::with_buckets_unbanked))
             .collect();
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut t = 0u64;
@@ -878,6 +791,12 @@ mod tests {
     #[should_panic(expected = ">= 64")]
     fn with_buckets_rejects_tiny_counts() {
         let _ = EventQueue::<()>::with_buckets(32);
+    }
+
+    #[test]
+    #[should_panic(expected = "<= 4096")]
+    fn with_buckets_rejects_more_than_one_summary_word() {
+        let _ = EventQueue::<()>::with_buckets(8192);
     }
 
     /// Reference implementation: the plain `BinaryHeap` queue this calendar
@@ -955,13 +874,12 @@ mod tests {
     #[test]
     fn differential_random_push_pop_matches_reference() {
         crate::check::cases(60, 0x5EED_CA1E, |rng| {
-            let mut cal: EventQueue<u32> = EventQueue::new();
-            let mut flat: EventQueue<u32> = EventQueue::with_buckets_unbanked(DEFAULT_BUCKETS);
+            let mut queues = widths();
             let mut refq: RefQueue<u32> = RefQueue::new();
             let mut next_payload = 0u32;
             for _ in 0..400 {
                 let action = rng.gen_range(0, 3);
-                if action < 2 || cal.is_empty() {
+                if action < 2 || refq.heap.is_empty() {
                     // Push with a delta drawn from a spread of scales so we
                     // exercise buckets, the boundary, and the heap fallback.
                     let delta = match rng.gen_range(0, 4) {
@@ -970,26 +888,24 @@ mod tests {
                         2 => 200 + rng.gen_range(0, 120), // straddles the boundary
                         _ => rng.gen_range(0, 5_000),
                     };
-                    let at = Cycle(cal.now().0 + delta);
-                    cal.push(at, next_payload);
-                    flat.push(at, next_payload);
+                    let at = Cycle(refq.now.0 + delta);
+                    for q in &mut queues {
+                        q.push(at, next_payload);
+                    }
                     refq.push(at, next_payload);
                     next_payload += 1;
                 } else {
                     let expect = refq.pop();
-                    assert_eq!(cal.pop(), expect);
-                    assert_eq!(flat.pop(), expect);
+                    for q in &mut queues {
+                        assert_eq!(q.pop(), expect, "width {}", q.n_buckets());
+                    }
                 }
-                assert_eq!(cal.len(), refq.heap.len());
-                assert_eq!(cal.peek_time(), refq.heap.peek().map(|e| e.time));
-                assert_eq!(flat.peek_time(), cal.peek_time());
+                for q in &queues {
+                    assert_eq!(q.len(), refq.heap.len());
+                    assert_eq!(q.peek_time(), refq.heap.peek().map(|e| e.time));
+                }
             }
-            while !cal.is_empty() {
-                let expect = refq.pop();
-                assert_eq!(cal.pop(), expect);
-                assert_eq!(flat.pop(), expect);
-            }
-            assert!(refq.heap.is_empty());
+            drain_against(&mut queues, &mut refq);
         });
     }
 
@@ -999,50 +915,139 @@ mod tests {
     #[test]
     fn differential_random_pop_explored_matches_reference() {
         crate::check::cases(40, 0xE0E0_57AC, |rng| {
-            let mut cal: EventQueue<u32> = EventQueue::new();
-            let mut flat: EventQueue<u32> = EventQueue::with_buckets_unbanked(DEFAULT_BUCKETS);
+            let mut queues = widths();
             let mut refq: RefQueue<u32> = RefQueue::new();
             let mut next_payload = 0u32;
             // All sides must see the same choice sequence.
             let picks: Vec<usize> =
                 (0..200).map(|_| rng.gen_range(0, 6) as usize).collect();
-            let mut c1 = Fixed(picks.clone(), 0);
-            let mut c2 = Fixed(picks.clone(), 0);
-            let mut c3 = Fixed(picks, 0);
+            let mut choosers: Vec<Fixed> =
+                queues.iter().map(|_| Fixed(picks.clone(), 0)).collect();
+            let mut c_ref = Fixed(picks, 0);
             for _ in 0..300 {
                 let action = rng.gen_range(0, 4);
-                if action < 2 || cal.is_empty() {
+                if action < 2 || refq.heap.is_empty() {
                     let delta = match rng.gen_range(0, 3) {
                         0 => rng.gen_range(0, 8),
                         1 => 240 + rng.gen_range(0, 40),
                         _ => rng.gen_range(0, 2_000),
                     };
-                    let at = Cycle(cal.now().0 + delta);
-                    cal.push(at, next_payload);
-                    flat.push(at, next_payload);
+                    let at = Cycle(refq.now.0 + delta);
+                    for q in &mut queues {
+                        q.push(at, next_payload);
+                    }
                     refq.push(at, next_payload);
                     next_payload += 1;
                 } else if action == 2 {
                     let expect = refq.pop();
-                    assert_eq!(cal.pop(), expect);
-                    assert_eq!(flat.pop(), expect);
+                    for q in &mut queues {
+                        assert_eq!(q.pop(), expect, "width {}", q.n_buckets());
+                    }
                 } else {
                     let horizon = Cycle(rng.gen_range(0, 400));
                     let window = 1 + rng.gen_range(0, 4) as usize;
-                    let expect = refq.pop_explored(&mut c2, horizon, window);
-                    assert_eq!(cal.pop_explored(&mut c1, horizon, window), expect);
-                    assert_eq!(flat.pop_explored(&mut c3, horizon, window), expect);
-                    assert_eq!(c1.1, c2.1, "choosers must be consulted identically");
-                    assert_eq!(c3.1, c2.1, "choosers must be consulted identically");
+                    explored_against(
+                        &mut queues,
+                        &mut choosers,
+                        &mut refq,
+                        &mut c_ref,
+                        horizon,
+                        window,
+                    );
                 }
-                assert_eq!(cal.len(), refq.heap.len());
-                assert_eq!(flat.len(), refq.heap.len());
+                for q in &queues {
+                    assert_eq!(q.len(), refq.heap.len());
+                }
             }
-            while !cal.is_empty() {
-                let expect = refq.pop();
-                assert_eq!(cal.pop(), expect);
-                assert_eq!(flat.pop(), expect);
+            drain_against(&mut queues, &mut refq);
+        });
+    }
+
+    /// The widths every differential test runs side by side: one occupancy
+    /// word, the default, and the full summary word.
+    fn widths() -> Vec<EventQueue<u32>> {
+        [64, DEFAULT_BUCKETS, MAX_BUCKETS]
+            .into_iter()
+            .map(EventQueue::with_buckets)
+            .collect()
+    }
+
+    /// One `pop_explored` on every queue and the reference, each with its
+    /// own copy of the same pick sequence; all must fire the same event and
+    /// consult their choosers identically.
+    fn explored_against(
+        queues: &mut [EventQueue<u32>],
+        choosers: &mut [Fixed],
+        refq: &mut RefQueue<u32>,
+        c_ref: &mut Fixed,
+        horizon: Cycle,
+        window: usize,
+    ) {
+        let expect = refq.pop_explored(c_ref, horizon, window);
+        for (q, c) in queues.iter_mut().zip(choosers.iter_mut()) {
+            assert_eq!(q.pop_explored(c, horizon, window), expect, "width {}", q.n_buckets());
+            assert_eq!(c.1, c_ref.1, "choosers must be consulted identically");
+        }
+    }
+
+    /// Pops everything left, checking each queue against the reference.
+    fn drain_against(queues: &mut [EventQueue<u32>], refq: &mut RefQueue<u32>) {
+        while !refq.heap.is_empty() {
+            let expect = refq.pop();
+            for q in queues.iter_mut() {
+                assert_eq!(q.pop(), expect, "width {}", q.n_buckets());
             }
+        }
+        for q in queues.iter() {
+            assert!(q.is_empty(), "width {}", q.n_buckets());
+        }
+    }
+
+    /// Differential property in the 256-context shape the simulator runs at
+    /// 4096 buckets: 256 live events, each re-scheduled as it fires (like a
+    /// stalled thread retrying), mostly 1–64 cycles ahead with occasional
+    /// ~60k-cycle jumps far past the window, and `pop_explored` calls with
+    /// nonzero picks interleaved. The clock crosses the ring many times, so
+    /// strays, migrations and the summary-word wraparound all meet the
+    /// reference heap.
+    #[test]
+    fn differential_wide_window_with_many_live_events_matches_reference() {
+        crate::check::cases(6, 0x4096_0256, |rng| {
+            let mut queues = vec![EventQueue::with_buckets(MAX_BUCKETS)];
+            let mut refq: RefQueue<u32> = RefQueue::new();
+            let picks: Vec<usize> = (0..4_000).map(|_| 1 + rng.gen_range(0, 5) as usize).collect();
+            let mut choosers = vec![Fixed(picks.clone(), 0)];
+            let mut c_ref = Fixed(picks, 0);
+            for payload in 0..20_000u32 {
+                if refq.heap.len() >= 256 {
+                    if rng.gen_range(0, 8) == 0 {
+                        let horizon = Cycle(rng.gen_range(0, 128));
+                        let window = 2 + rng.gen_range(0, 4) as usize;
+                        explored_against(
+                        &mut queues,
+                        &mut choosers,
+                        &mut refq,
+                        &mut c_ref,
+                        horizon,
+                        window,
+                    );
+                    } else {
+                        assert_eq!(queues[0].pop(), refq.pop());
+                    }
+                }
+                let delta = if rng.gen_range(0, 16) == 0 {
+                    55_000 + rng.gen_range(0, 10_000)
+                } else {
+                    1 + rng.gen_range(0, 64)
+                };
+                let at = Cycle(refq.now.0 + delta);
+                queues[0].push(at, payload);
+                refq.push(at, payload);
+                assert_eq!(queues[0].len(), refq.heap.len());
+                assert_eq!(queues[0].peek_time(), refq.heap.peek().map(|e| e.time));
+            }
+            assert!(refq.now.0 > 8 * MAX_BUCKETS as u64, "the clock must cross the ring");
+            drain_against(&mut queues, &mut refq);
         });
     }
 }

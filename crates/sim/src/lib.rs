@@ -58,5 +58,5 @@ pub mod rng;
 pub mod stats;
 pub mod trace;
 
-pub use event::{EventChooser, EventQueue, DEFAULT_BUCKETS};
+pub use event::{EventChooser, EventQueue, DEFAULT_BUCKETS, MAX_BUCKETS};
 pub use time::Cycle;

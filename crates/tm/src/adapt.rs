@@ -13,10 +13,10 @@
 //!   cycles. It is maintained identically under *every* policy (so pinning
 //!   the adaptive manager to a static policy is byte-identical to running
 //!   that policy), and it works with the observability layer off.
-//! * **Contention managers** ([`ContentionManager`]): the per-NACK decision
-//!   procedure behind [`resolve_nack_with`](crate::conflict::resolve_nack_with),
-//!   one implementation per [`ContentionPolicy`] variant, including the
-//!   age-based `Karma` manager and the history-driven `Adaptive` selector
+//! * **Contention managers** ([`resolve`]): the per-NACK decision procedure
+//!   behind [`resolve_nack_with`](crate::conflict::resolve_nack_with), one
+//!   `match` arm per [`ContentionPolicy`] variant, including the age-based
+//!   `Karma` manager and the history-driven `Adaptive` selector
 //!   ([`select_policy`]).
 //!
 //! Adaptive selection is a pure function of the requester's history and
@@ -140,7 +140,7 @@ impl ConflictHistory {
     }
 }
 
-/// Everything a [`ContentionManager`] may consult for one NACK decision.
+/// Everything a contention manager may consult for one NACK decision.
 #[derive(Debug, Clone, Copy)]
 pub struct NackContext {
     /// The NACKed context's stamp (`None`: not in a transaction).
@@ -157,159 +157,51 @@ pub struct NackContext {
     pub history: ConflictHistory,
 }
 
-/// A per-NACK decision procedure: given the conflict context, decide what
-/// the requester does and whether the nacker sets `possible_cycle`.
-pub trait ContentionManager {
-    /// The policy this manager implements.
-    fn policy(&self) -> ContentionPolicy;
-
-    /// Decides `(requester resolution, nacker sets possible_cycle)`.
-    fn resolve(&self, cx: &NackContext) -> (Resolution, bool);
-}
-
-/// Shared prelude: the stall-only cases every manager agrees on, plus the
-/// nacker-flag rule. Returns `Ok` with the forced resolution, or `Err` with
-/// `(req, nk, nacker_flags, deadlock_possible)` for the manager to decide.
-fn common_cases(cx: &NackContext) -> Result<(Resolution, bool), (TxStamp, TxStamp, bool, bool)> {
-    match (cx.requester, cx.nacker) {
-        (Some(req), Some(nk)) => {
-            let nacker_flags = req.older_than(nk);
-            let deadlock_possible = nk.older_than(req) && cx.requester_possible_cycle;
-            Err((req, nk, nacker_flags, deadlock_possible))
+/// Decides `(requester resolution, nacker sets possible_cycle)` for one
+/// NACK under `policy`: the one dispatch point for every contention
+/// manager, with each policy's rule documented on its [`ContentionPolicy`]
+/// variant. [`ContentionPolicy::Adaptive`] first picks a static policy from
+/// the requester's history ([`select_policy`], unpinned); static policies
+/// pass through unchanged.
+#[inline]
+pub fn resolve(policy: ContentionPolicy, cx: &NackContext) -> (Resolution, bool) {
+    // Non-transactional requesters hold no isolation anyone could wait on:
+    // always retry. Summary conflicts (no live nacker context) are broken
+    // by the OS rescheduling the parked thread.
+    let (Some(req), Some(nk)) = (cx.requester, cx.nacker) else {
+        return (Resolution::Stall, false);
+    };
+    let nacker_flags = req.older_than(nk);
+    let deadlock_possible = nk.older_than(req) && cx.requester_possible_cycle;
+    let abort = match select_policy(policy, None, &cx.history, cx.requester_work) {
+        ContentionPolicy::RequesterStalls => deadlock_possible,
+        ContentionPolicy::RequesterAborts => true,
+        ContentionPolicy::SizeMatters => {
+            deadlock_possible && cx.requester_work <= cx.nacker_work
         }
-        // Non-transactional requesters hold no isolation anyone could wait
-        // on: always retry. Summary conflicts (no live nacker context) are
-        // broken by the OS rescheduling the parked thread.
-        (None, _) | (Some(_), None) => Ok((Resolution::Stall, false)),
-    }
+        // Deadlock-free: a stall edge always points from an older
+        // requester to a younger nacker, so ages strictly decrease around
+        // any would-be cycle.
+        ContentionPolicy::Karma => nk.older_than(req),
+        ContentionPolicy::Adaptive => unreachable!("select_policy picks a static policy"),
+    };
+    let r = if abort {
+        Resolution::Abort
+    } else {
+        Resolution::Stall
+    };
+    (r, nacker_flags)
 }
 
-/// The paper's baseline: stall, abort only on a possible deadlock cycle.
-pub struct RequesterStallsCm;
-
-impl ContentionManager for RequesterStallsCm {
-    fn policy(&self) -> ContentionPolicy {
-        ContentionPolicy::RequesterStalls
-    }
-
-    fn resolve(&self, cx: &NackContext) -> (Resolution, bool) {
-        match common_cases(cx) {
-            Ok(r) => r,
-            Err((_, _, flags, deadlock)) => {
-                let r = if deadlock {
-                    Resolution::Abort
-                } else {
-                    Resolution::Stall
-                };
-                (r, flags)
-            }
-        }
-    }
-}
-
-/// Early-HTM behaviour: a transactional requester aborts on any NACK.
-pub struct RequesterAbortsCm;
-
-impl ContentionManager for RequesterAbortsCm {
-    fn policy(&self) -> ContentionPolicy {
-        ContentionPolicy::RequesterAborts
-    }
-
-    fn resolve(&self, cx: &NackContext) -> (Resolution, bool) {
-        match common_cases(cx) {
-            Ok(r) => r,
-            Err((_, _, flags, _)) => (Resolution::Abort, flags),
-        }
-    }
-}
-
-/// Work-weighted: on a possible deadlock, abort only the side that has
-/// invested less (fewer undo records).
-pub struct SizeMattersCm;
-
-impl ContentionManager for SizeMattersCm {
-    fn policy(&self) -> ContentionPolicy {
-        ContentionPolicy::SizeMatters
-    }
-
-    fn resolve(&self, cx: &NackContext) -> (Resolution, bool) {
-        match common_cases(cx) {
-            Ok(r) => r,
-            Err((_, _, flags, deadlock)) => {
-                let r = if deadlock && cx.requester_work <= cx.nacker_work {
-                    Resolution::Abort
-                } else {
-                    Resolution::Stall
-                };
-                (r, flags)
-            }
-        }
-    }
-}
-
-/// Age-based (Greedy/Timestamp-style): the strictly younger side of every
-/// conflict aborts immediately; the older side stalls. Deadlock-free by
-/// construction — a stall edge always points from an older requester to a
-/// younger nacker, so ages strictly decrease around any would-be cycle.
-/// Preserved begin stamps across retries guarantee eventual victory.
-pub struct KarmaCm;
-
-impl ContentionManager for KarmaCm {
-    fn policy(&self) -> ContentionPolicy {
-        ContentionPolicy::Karma
-    }
-
-    fn resolve(&self, cx: &NackContext) -> (Resolution, bool) {
-        match common_cases(cx) {
-            Ok(r) => r,
-            Err((req, nk, flags, _)) => {
-                let r = if nk.older_than(req) {
-                    Resolution::Abort
-                } else {
-                    Resolution::Stall
-                };
-                (r, flags)
-            }
-        }
-    }
-}
-
-/// History-driven dynamic selection: delegates each NACK to the static
-/// policy [`select_policy`] picks from the requester's [`ConflictHistory`].
-pub struct AdaptiveCm {
-    /// Test/diagnosis pin: always select this static policy.
-    pub pin: Option<ContentionPolicy>,
-}
-
-impl ContentionManager for AdaptiveCm {
-    fn policy(&self) -> ContentionPolicy {
-        ContentionPolicy::Adaptive
-    }
-
-    fn resolve(&self, cx: &NackContext) -> (Resolution, bool) {
-        let chosen = select_policy(
-            ContentionPolicy::Adaptive,
-            self.pin,
-            &cx.history,
-            cx.requester_work,
-        );
-        manager_for(chosen, None).resolve(cx)
-    }
-}
-
-/// The manager implementing `policy`. `pin` is consulted only by
-/// [`ContentionPolicy::Adaptive`].
-pub fn manager_for(
-    policy: ContentionPolicy,
-    pin: Option<ContentionPolicy>,
-) -> Box<dyn ContentionManager> {
-    match policy {
-        ContentionPolicy::RequesterStalls => Box::new(RequesterStallsCm),
-        ContentionPolicy::RequesterAborts => Box::new(RequesterAbortsCm),
-        ContentionPolicy::SizeMatters => Box::new(SizeMattersCm),
-        ContentionPolicy::Karma => Box::new(KarmaCm),
-        ContentionPolicy::Adaptive => Box::new(AdaptiveCm { pin }),
-    }
+/// Whether a run configured with `policy` ever reads
+/// [`NackContext::requester_work`] or [`NackContext::nacker_work`]: only
+/// `SizeMatters` and the `Adaptive` selector (which may pick `SizeMatters`
+/// or consult the requester's work itself) do.
+pub fn weighs_work(policy: ContentionPolicy) -> bool {
+    matches!(
+        policy,
+        ContentionPolicy::SizeMatters | ContentionPolicy::Adaptive
+    )
 }
 
 /// Maps a configured policy to the concrete static policy applied to the
@@ -435,18 +327,18 @@ mod tests {
 
     #[test]
     fn karma_youngest_always_loses() {
-        let km = KarmaCm;
+        let km = |c: &NackContext| resolve(ContentionPolicy::Karma, c);
         // Younger requester NACKed by older: abort, flag unset.
-        let (r, f) = km.resolve(&cx(Some(st(100, 1)), false, Some(st(10, 0))));
+        let (r, f) = km(&cx(Some(st(100, 1)), false, Some(st(10, 0))));
         assert_eq!(r, Resolution::Abort);
         assert!(!f);
         // Older requester NACKed by younger: stall, nacker flags.
-        let (r, f) = km.resolve(&cx(Some(st(10, 0)), false, Some(st(100, 1))));
+        let (r, f) = km(&cx(Some(st(10, 0)), false, Some(st(100, 1))));
         assert_eq!(r, Resolution::Stall);
         assert!(f);
         // Non-transactional and summary conflicts stall as everywhere else.
-        assert_eq!(km.resolve(&cx(None, false, Some(st(1, 0)))).0, Resolution::Stall);
-        assert_eq!(km.resolve(&cx(Some(st(1, 0)), true, None)).0, Resolution::Stall);
+        assert_eq!(km(&cx(None, false, Some(st(1, 0)))).0, Resolution::Stall);
+        assert_eq!(km(&cx(Some(st(1, 0)), true, None)).0, Resolution::Stall);
     }
 
     #[test]
@@ -503,32 +395,77 @@ mod tests {
         );
     }
 
+    /// `on_nack` passes zero work for policies `weighs_work` rules out, so
+    /// those must decide identically with any work; the two that weigh it
+    /// must not.
     #[test]
-    fn managers_agree_with_their_policies() {
-        for p in ContentionPolicy::ALL {
-            assert_eq!(manager_for(p, None).policy(), p);
+    fn only_work_weighing_policies_read_work() {
+        let mut convoy = ConflictHistory::default();
+        for _ in 0..5 {
+            convoy.on_stall();
         }
-        // Pinned adaptive resolves exactly like the pinned static manager
-        // across a grid of conflict contexts.
-        for pin in [
-            ContentionPolicy::RequesterStalls,
-            ContentionPolicy::RequesterAborts,
-            ContentionPolicy::SizeMatters,
-            ContentionPolicy::Karma,
-        ] {
-            let pinned = manager_for(ContentionPolicy::Adaptive, Some(pin));
-            let staticm = manager_for(pin, None);
+        for policy in ContentionPolicy::ALL {
+            let mut differs = false;
             for (req, nk) in [
                 (Some(st(5, 0)), Some(st(9, 1))),
                 (Some(st(9, 1)), Some(st(5, 0))),
-                (None, Some(st(5, 0))),
-                (Some(st(5, 0)), None),
             ] {
                 for flag in [false, true] {
-                    let c = cx(req, flag, nk);
-                    assert_eq!(pinned.resolve(&c), staticm.resolve(&c), "{pin:?}");
+                    let zero = NackContext {
+                        history: convoy,
+                        ..cx(req, flag, nk)
+                    };
+                    let weighed = NackContext {
+                        requester_work: 7,
+                        nacker_work: 1,
+                        ..zero
+                    };
+                    differs |= resolve(policy, &zero) != resolve(policy, &weighed)
+                        || select_policy(policy, None, &convoy, 0)
+                            != select_policy(policy, None, &convoy, 7);
+                }
+            }
+            assert_eq!(differs, weighs_work(policy), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn managers_agree_with_their_policies() {
+        // Pinned adaptive selection resolves exactly like the pinned static
+        // policy across a grid of conflict contexts, whatever the history.
+        let mut losing = ConflictHistory::default();
+        losing.on_abort(10);
+        losing.on_abort(10);
+        for pin in ContentionPolicy::STATIC {
+            for history in [ConflictHistory::default(), losing] {
+                let chosen = select_policy(ContentionPolicy::Adaptive, Some(pin), &history, 0);
+                assert_eq!(chosen, pin);
+                for (req, nk) in [
+                    (Some(st(5, 0)), Some(st(9, 1))),
+                    (Some(st(9, 1)), Some(st(5, 0))),
+                    (None, Some(st(5, 0))),
+                    (Some(st(5, 0)), None),
+                ] {
+                    for flag in [false, true] {
+                        let c = NackContext {
+                            history,
+                            ..cx(req, flag, nk)
+                        };
+                        assert_eq!(resolve(chosen, &c), resolve(pin, &c), "{pin:?}");
+                    }
                 }
             }
         }
+        // Unpinned `Adaptive` resolves through the policy its history
+        // selects.
+        let c = NackContext {
+            history: losing,
+            ..cx(Some(st(9, 1)), false, Some(st(5, 0)))
+        };
+        assert_eq!(
+            resolve(ContentionPolicy::Adaptive, &c),
+            resolve(ContentionPolicy::Karma, &c)
+        );
+        assert_eq!(resolve(ContentionPolicy::Adaptive, &c).0, Resolution::Abort);
     }
 }

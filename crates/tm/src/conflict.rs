@@ -160,12 +160,12 @@ pub fn resolve_nack(
 /// `requester_work`/`nacker_work` are invested-work estimates (undo
 /// records) consulted by [`ContentionPolicy::SizeMatters`].
 ///
-/// This is the history-free entry point: it dispatches through the
-/// [`crate::adapt::ContentionManager`] for `policy` with an empty
+/// This is the history-free entry point: it calls
+/// [`crate::adapt::resolve`] for `policy` with an empty
 /// [`crate::adapt::ConflictHistory`], so [`ContentionPolicy::Adaptive`]
 /// here behaves as its default selection. Callers holding real per-thread
-/// history (the [`crate::TmUnit`] NACK path) resolve through
-/// [`crate::adapt::select_policy`] + the managers directly.
+/// history (the [`crate::TmUnit`] NACK path) select through
+/// [`crate::adapt::select_policy`] and call `resolve` directly.
 pub fn resolve_nack_with(
     policy: ContentionPolicy,
     requester: Option<TxStamp>,
@@ -182,7 +182,7 @@ pub fn resolve_nack_with(
         nacker_work,
         history: crate::adapt::ConflictHistory::default(),
     };
-    crate::adapt::manager_for(policy, None).resolve(&cx)
+    crate::adapt::resolve(policy, &cx)
 }
 
 /// Randomized-exponential backoff after the `attempt`-th consecutive abort:

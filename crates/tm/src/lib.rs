@@ -71,7 +71,7 @@ mod os;
 mod stats;
 mod unit;
 
-pub use adapt::{backoff_cycles, BackoffKind, ConflictHistory, ContentionManager};
+pub use adapt::{backoff_cycles, BackoffKind, ConflictHistory};
 pub use config::TmConfig;
 pub use ctx::{NestKind, ThreadTmState, TxPhase};
 pub use filter::LogFilter;

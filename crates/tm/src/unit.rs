@@ -5,7 +5,7 @@ use ltse_mem::{AccessKind, Asid, BlockAddr, ConflictOracle, CtxId, WordAddr, WOR
 use ltse_sig::SigOp;
 use ltse_sim::Cycle;
 
-use crate::adapt::{manager_for, select_policy, NackContext};
+use crate::adapt::{resolve, select_policy, weighs_work, ConflictHistory, NackContext};
 use crate::config::TmConfig;
 use crate::conflict::{ContentionPolicy, Resolution};
 use crate::ctx::{AbortCosts, NestKind, ThreadTmState};
@@ -362,30 +362,37 @@ impl TmUnit {
     }
 
     /// Applies LogTM conflict resolution after a NACK: selects the
-    /// effective contention policy (per-conflict for `Adaptive`), runs its
-    /// [`crate::adapt::ContentionManager`], applies the serialization-token
+    /// effective contention policy (per-conflict for `Adaptive`), resolves
+    /// it through [`crate::adapt::resolve`], applies the serialization-token
     /// overrides, updates the nacker's `possible_cycle` flag and both sides'
     /// conflict histories, bumps the requester's stall count, and returns
     /// what the requester must do.
     pub fn on_nack(&mut self, requester: CtxId, nacker: Option<CtxId>) -> Resolution {
-        let req_stamp = self.thread(requester).and_then(|t| t.stamp());
-        let req_flag = self
-            .thread(requester)
-            .map(|t| t.possible_cycle())
-            .unwrap_or(false);
-        let nk_stamp = nacker.and_then(|n| self.thread(n).and_then(|t| t.stamp()));
-        let req_work = self
-            .thread(requester)
-            .map(|t| t.log().total_undo_records())
-            .unwrap_or(0);
-        let nk_work = nacker
-            .and_then(|n| self.thread(n))
-            .map(|t| t.log().total_undo_records())
-            .unwrap_or(0);
-        let history = self
-            .thread(requester)
-            .map(|t| t.history)
-            .unwrap_or_default();
+        let serial = self.serial_holder;
+        let holds_serial = |t: &ThreadTmState| serial == Some(t.thread_id);
+        // Policies that never weigh invested work skip the undo-log walk.
+        let weigh = weighs_work(self.config.contention);
+        let work = |t: &ThreadTmState| {
+            if weigh {
+                t.log().total_undo_records()
+            } else {
+                0
+            }
+        };
+        let (req_stamp, req_flag, req_work, history, req_serial) = match self.thread(requester) {
+            Some(t) => (
+                t.stamp(),
+                t.possible_cycle(),
+                work(t),
+                t.history,
+                holds_serial(t),
+            ),
+            None => (None, false, 0, ConflictHistory::default(), false),
+        };
+        let (nk_stamp, nk_work, nk_serial) = match nacker.and_then(|n| self.thread(n)) {
+            Some(t) => (t.stamp(), work(t), holds_serial(t)),
+            None => (None, 0, false),
+        };
         // The history consulted is the one *before* this NACK, so a pinned
         // adaptive run observes exactly the state a static run would.
         let effective = select_policy(
@@ -394,30 +401,43 @@ impl TmUnit {
             &history,
             req_work,
         );
-        let (mut resolution, nacker_flags) = manager_for(effective, None).resolve(&NackContext {
-            requester: req_stamp,
-            requester_possible_cycle: req_flag,
-            nacker: nk_stamp,
-            requester_work: req_work,
-            nacker_work: nk_work,
-            history,
-        });
+        let (mut resolution, nacker_flags) = resolve(
+            effective,
+            &NackContext {
+                requester: req_stamp,
+                requester_possible_cycle: req_flag,
+                nacker: nk_stamp,
+                requester_work: req_work,
+                nacker_work: nk_work,
+                history,
+            },
+        );
         // A size-aware manager's sparing rule can deadlock when the bigger
         // transaction is also the younger one (the only abort that could
         // break the cycle is the one being spared). Escalate after a
         // bounded number of spared deadlock-possible stalls.
-        if effective == ContentionPolicy::SizeMatters && resolution == Resolution::Stall {
-            if let (Some(req), Some(nk)) = (req_stamp, nk_stamp) {
-                if nk.older_than(req) && req_flag {
-                    if let Some(t) = self.thread_mut(requester) {
-                        t.spared_stalls += 1;
-                        if t.spared_stalls > 100 {
-                            t.spared_stalls = 0;
-                            resolution = Resolution::Abort;
-                        }
-                    }
+        let spared = effective == ContentionPolicy::SizeMatters
+            && resolution == Resolution::Stall
+            && req_flag
+            && matches!((req_stamp, nk_stamp), (Some(req), Some(nk)) if nk.older_than(req));
+        if let Some(t) = self.thread_mut(requester) {
+            if spared {
+                t.spared_stalls += 1;
+                if t.spared_stalls > 100 {
+                    t.spared_stalls = 0;
+                    resolution = Resolution::Abort;
                 }
             }
+            t.stats.stalls += 1;
+            // Recorded for every NACK; an abort resolution resets the stall
+            // streak again in `abort_all`.
+            t.history.on_stall();
+        }
+        if let Some(t) = nacker.and_then(|n| self.thread_mut(n)) {
+            if nacker_flags {
+                t.set_possible_cycle();
+            }
+            t.history.on_nack_caused();
         }
         // Serialization-token overrides (these outrank every policy): the
         // holder never aborts on a conflict, and any transactional requester
@@ -425,30 +445,13 @@ impl TmUnit {
         // single holder has an edge *into* the holder, so that edge's
         // requester aborting keeps escalation deadlock-free even under
         // stall-happy policies.
-        if self.holds_serial(requester) {
-            resolution = Resolution::Stall;
-        } else if nacker.is_some_and(|n| self.holds_serial(n)) && req_stamp.is_some() {
-            resolution = Resolution::Abort;
+        if req_serial {
+            Resolution::Stall
+        } else if nk_serial && req_stamp.is_some() {
+            Resolution::Abort
+        } else {
+            resolution
         }
-        if nacker_flags {
-            if let Some(n) = nacker {
-                if let Some(t) = self.thread_mut(n) {
-                    t.set_possible_cycle();
-                }
-            }
-        }
-        if let Some(n) = nacker {
-            if let Some(t) = self.thread_mut(n) {
-                t.history.on_nack_caused();
-            }
-        }
-        if let Some(t) = self.thread_mut(requester) {
-            t.stats.stalls += 1;
-            // Recorded for every NACK; an abort resolution resets the stall
-            // streak again in `abort_all`.
-            t.history.on_stall();
-        }
-        resolution
     }
 
     /// Zeroes every installed thread's statistics (and the retired-thread

@@ -11,8 +11,8 @@
 #   BENCH_stm.json       — sim-vs-STM wall-clock comparison on Table-2
 #                          workloads (real threads; host-speed numbers)
 #   BENCH_scale.json     — 64/128/256-core scale sweep (per-event cost,
-#                          256-context serializability-checked run, banked
-#                          vs unbanked calendar-queue ratio)
+#                          256-context serializability-checked run, calendar
+#                          queue vs BinaryHeap reference ratio)
 #   BENCH_oltp.json      — open-loop OLTP driver: p50/p99/p999 commit
 #                          latency + goodput per skew/mix point on both
 #                          backends, and the million-transaction streaming
@@ -66,8 +66,8 @@ else
     echo "note: $cpus CPU detected — skipping the explore_parallel >= 1.0 gate"          "(single-core hosts measure pool overhead only)"
 fi
 
-# Gate per-event cost at scale: the banked calendar queue and the event-path
-# work must keep 256-core per-event cost within 5% of the 64-core baseline.
+# Gate per-event cost at scale: the calendar queue and the event-path work
+# must keep 256-core per-event cost within 5% of the 64-core baseline.
 # Timing ratios need a quiet multicore host to be meaningful; on one CPU the
 # sweep still runs (the JSON is produced above) but the gate is skipped with
 # a note, mirroring the explore_parallel policy.
@@ -78,9 +78,9 @@ doc = json.load(open(sys.argv[1]))
 s = doc["speedups"]["per_event_64_vs_256"]
 assert s is not None and s >= 0.95, (
     f"per_event_64_vs_256 {s} < 0.95: per-event cost regressed at 256 cores")
-q = doc["speedups"].get("queue_banked_vs_unbanked")
+q = doc["speedups"].get("queue_calendar_vs_heap")
 print(f"ok: per_event_64_vs_256 {s:.2f}x (gate >= 0.95), "
-      f"queue banked/unbanked {q if q is None else f'{q:.2f}x'}")
+      f"queue calendar/heap {q if q is None else f'{q:.2f}x'}")
 PYEOF
 else
     echo "note: $cpus CPU detected — skipping the per_event_64_vs_256 >= 0.95 gate"          "(single-core timing ratios are noise-bound; BENCH_scale.json still records them)"

@@ -58,7 +58,7 @@ expected_speedups = {
     "pipeline": {"explore_parallel"},
     "obs": {"obs_off_vs_on"},
     "stm": {"stm_vs_sim_berkeleydb", "stm_vs_sim_raytrace", "stm_vs_sim_mp3d"},
-    "scale": {"per_event_64_vs_128", "per_event_64_vs_256", "queue_banked_vs_unbanked"},
+    "scale": {"per_event_64_vs_128", "per_event_64_vs_256", "queue_calendar_vs_heap"},
 }
 min_cases = {"hotpath": 7, "pipeline": 2, "obs": 4, "stm": 6, "scale": 6}
 for bench, speedups in expected_speedups.items():
